@@ -7,7 +7,7 @@
 //!   pre-pool reality this repo's drivers lived in: "every experiment
 //!   owns a whole `Session`"): build its own `Session` — a full device
 //!   calibration, pulse-library synthesis and all — then push its job
-//!   through `run_shots_parallel`. C clients → C calibrations, run
+//!   through a sharded `Session::execute`. C clients → C calibrations, run
 //!   back-to-back;
 //! * `multi_client` — the same C jobs submitted concurrently to a
 //!   `DevicePool`, which serves every job from a warm pristine-device
@@ -19,7 +19,7 @@
 //!   concurrent clients, since a `Session` is `&mut self`).
 //!
 //! The acceptance criterion from the roadmap: pooled multi-client
-//! throughput ≥ the single-client `run_shots_parallel` baseline on the
+//! throughput ≥ the single-client sharded-`execute` baseline on the
 //! same workload (both medians land in the bench trajectory via
 //! `QUMA_BENCH_JSON`). Every mode produces bit-identical per-job results
 //! — `crates/pool/tests/differential.rs` pins that; this file only races
@@ -63,26 +63,35 @@ fn client_plan(client: u64) -> SeedPlan {
     }
 }
 
+/// One client's job: `SHOTS_PER_JOB` shots of its own seed plan.
+fn client_job(loaded: &LoadedProgram, client: u64) -> Workload {
+    Workload::Shots {
+        program: loaded.clone(),
+        plan: Some(client_plan(client)),
+        first: 0,
+        count: SHOTS_PER_JOB,
+    }
+}
+
 /// One client's job without a pool: its own freshly calibrated session,
 /// then a sharded batch (`threads == 0` = auto).
 fn solo_client_job(client: u64) {
     let mut session = Session::new(config()).expect("session");
-    session.set_seed_plan(client_plan(client));
     let loaded = session.load_assembly(SHOT).expect("assembles");
+    let work = client_job(&loaded, client);
     black_box(
         session
-            .run_shots_parallel(&loaded, SHOTS_PER_JOB, 0)
+            .execute(&work, 0..work.len(), 0)
             .expect("batch runs"),
     );
 }
 
 /// The same job on a shared pre-warmed session (reference bound).
 fn shared_session_job(session: &mut Session, loaded: &LoadedProgram, client: u64) {
-    session.set_seed_plan(client_plan(client));
-    session.reset_shot_counter();
+    let work = client_job(loaded, client);
     black_box(
         session
-            .run_shots_parallel(loaded, SHOTS_PER_JOB, 0)
+            .execute(&work, 0..work.len(), 0)
             .expect("batch runs"),
     );
 }

@@ -8,7 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use quma_compiler::prelude::{InjectedX, RepetitionCode};
-use quma_core::prelude::{ChipProfile, DeviceConfig, Session, TraceLevel};
+use quma_core::prelude::{ChipProfile, DeviceConfig, Session, TraceLevel, Workload};
 use std::hint::black_box;
 
 fn device_config(distance: usize) -> DeviceConfig {
@@ -74,9 +74,15 @@ fn bench(c: &mut Criterion) {
         let threads = std::thread::available_parallelism().map_or(4, |n| n.get().min(8));
         g.bench_function(BenchmarkId::new("batch16_parallel_d", distance), |b| {
             b.iter(|| {
+                let work = Workload::Shots {
+                    program: loaded.clone(),
+                    plan: Some(session.seed_plan()),
+                    first: session.shots_run(),
+                    count: 16,
+                };
                 black_box(
                     session
-                        .run_shots_parallel(&loaded, 16, threads)
+                        .execute(&work, 0..16, threads)
                         .expect("parallel batch"),
                 )
             })

@@ -11,7 +11,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use quma_compiler::prelude::{InjectedX, RepetitionCode};
-use quma_core::prelude::{DeviceConfig, Session, TraceLevel};
+use quma_core::prelude::{DeviceConfig, Session, TraceLevel, Workload};
 use std::hint::black_box;
 
 const DISTANCE: usize = 3;
@@ -40,9 +40,15 @@ fn bench(c: &mut Criterion) {
             &threads,
             |b, &t| {
                 b.iter(|| {
+                    let work = Workload::Shots {
+                        program: loaded.clone(),
+                        plan: Some(session.seed_plan()),
+                        first: session.shots_run(),
+                        count: SHOTS,
+                    };
                     black_box(
                         session
-                            .run_shots_parallel(&loaded, SHOTS, t)
+                            .execute(&work, 0..work.len(), t)
                             .expect("parallel batch"),
                     )
                 })

@@ -71,9 +71,15 @@ fn print_throughput_table() {
     let mut session = Session::new(config()).expect("session");
     let threads = std::thread::available_parallelism().map_or(4, |n| n.get().min(8));
     shots_per_second("parallel_batch", SHOTS, || {
+        let work = Workload::Shots {
+            program: loaded.clone(),
+            plan: Some(session.seed_plan()),
+            first: session.shots_run(),
+            count: SHOTS,
+        };
         black_box(
             session
-                .run_shots_parallel(&loaded, SHOTS, threads)
+                .execute(&work, 0..work.len(), threads)
                 .expect("parallel batch"),
         );
     });
@@ -119,11 +125,13 @@ fn bench(c: &mut Criterion) {
         let loaded = session.load(&program);
         let threads = std::thread::available_parallelism().map_or(4, |n| n.get().min(8));
         b.iter(|| {
-            black_box(
-                session
-                    .run_shots_parallel(&loaded, 32, threads)
-                    .expect("batch"),
-            )
+            let work = Workload::Shots {
+                program: loaded.clone(),
+                plan: Some(session.seed_plan()),
+                first: session.shots_run(),
+                count: 32,
+            };
+            black_box(session.execute(&work, 0..32, threads).expect("batch"))
         })
     });
     g.finish();

@@ -8,11 +8,16 @@
 //!
 //! * [`Session`] owns a calibrated device and keeps it alive across shots;
 //! * [`Session::load`] assembles/validates a program once into a
-//!   [`LoadedProgram`] that batches reuse;
-//! * [`Session::run_shot`] / [`Session::run_shots`] / [`Session::run_sweep`]
-//!   execute batches with a cheap per-shot reset ([`Device::reseed`] plus
-//!   the ordinary run reset) instead of reconstruction;
-//! * [`Session::run_shots_parallel`] shards a batch across a
+//!   [`LoadedProgram`] that batches reuse; [`Session::load_template`]
+//!   does the same for compile-once [`ProgramTemplate`]s, whose
+//!   immediate fields are rewritten per sweep point (O(1) per axis)
+//!   instead of re-assembling a program per point;
+//! * a [`Workload`] describes a batch once — a derived-seed shot batch,
+//!   a program sweep, or a template sweep — as items that each pick a
+//!   program state plus its seeds, and [`Session::execute`] runs any
+//!   sub-range of it with a cheap per-item reset ([`Device::reseed`]
+//!   plus the ordinary run reset) instead of reconstruction;
+//! * with more than one thread, `execute` shards the range across a
 //!   **persistent worker pool** owned by the session: workers are
 //!   spawned lazily on the first parallel call and reused across
 //!   batches, each keeping its device clone warm (re-cloned only after
@@ -20,12 +25,7 @@
 //!   dealt in contiguous blocks and every worker fills its own result
 //!   vector, so batches pay neither per-call thread spawns, per-call
 //!   device clones, nor false sharing — while per-item seeds keep the
-//!   results bit-identical to the sequential batch;
-//! * [`Session::load_template`] / [`Session::run_template_sweep`] /
-//!   [`Session::run_template_sweep_parallel`] drive compile-once
-//!   [`ProgramTemplate`]s the way real control stacks drive hardware:
-//!   upload once, rewrite immediate fields per sweep point (O(1) per
-//!   axis) instead of re-assembling a program per point.
+//!   results bit-identical to the sequential batch.
 //!
 //! Determinism contract: shot `i` of a batch is bit-identical to a freshly
 //! built device whose config carries the seeds of [`SeedPlan::shot`]`(i)`
@@ -37,6 +37,7 @@ use crossbeam::channel;
 use quma_isa::prelude::Program;
 use quma_isa::template::{PatchError, ProgramTemplate};
 use quma_obs::trace::{now_ns, SpanEvent, SpanKind, TraceBuffer, TraceId};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// The two per-shot random seeds: the chip's projection/readout RNG and
@@ -80,10 +81,10 @@ pub fn derive_seed(base: u64, index: u64) -> u64 {
 /// Resolves a requested worker-thread count against the amount of work:
 /// `0` means "use [`std::thread::available_parallelism`]" (falling back
 /// to 1 if the parallelism query fails), and the result is clamped to
-/// `1..=items` so no worker ever starts with nothing to do. Every
-/// parallel entry point on [`Session`] resolves its `threads` argument
-/// through this function, so `threads == 0` is the portable "auto"
-/// spelling everywhere.
+/// `1..=items` so no worker ever starts with nothing to do.
+/// [`Session::execute`] resolves its `threads` argument through this
+/// function, so `threads == 0` is the portable "auto" spelling
+/// everywhere.
 pub fn resolve_threads(threads: usize, items: usize) -> usize {
     let requested = if threads == 0 {
         std::thread::available_parallelism().map_or(1, |n| n.get())
@@ -93,15 +94,161 @@ pub fn resolve_threads(threads: usize, items: usize) -> usize {
     requested.clamp(1, items.max(1))
 }
 
+/// One batch of work, described once: a list of items, each a program
+/// state plus the seeds it runs with. [`Session::execute`] runs any
+/// sub-range of the items, sequentially or sharded, and item `i` always
+/// produces the same report — the property chunked streaming and
+/// checkpoint resume rely on.
+///
+/// Cloning is cheap: programs and point lists are [`Arc`]-shared, so a
+/// clone per worker shard copies pointers, not instructions.
+#[derive(Clone)]
+pub enum Workload {
+    /// `count` derived-seed shots of one program: item `i` runs with
+    /// `plan.shot(first + i)`.
+    Shots {
+        /// The program every shot runs.
+        program: LoadedProgram,
+        /// The plan the per-shot seeds derive from; `None` uses the
+        /// executing session's [`Session::seed_plan`].
+        plan: Option<SeedPlan>,
+        /// Seed index of item 0 (a batch continuing an earlier one
+        /// starts past it).
+        first: u64,
+        /// Number of shots.
+        count: u64,
+    },
+    /// A sweep of prepared programs, each point with explicit seeds.
+    Sweep {
+        /// The points, in order.
+        points: Arc<[(LoadedProgram, ShotSeeds)]>,
+    },
+    /// A patch-per-point sweep of one template: item `i` patches the
+    /// axes of `points[i]` into a copy of `working` and runs it with the
+    /// point's seeds. Every point must patch the same set of axes (see
+    /// [`TemplatePoint::patches`]); a mismatch against point 0 is
+    /// rejected before any item of the range runs.
+    TemplateSweep {
+        /// The template program in the state the sweep starts from
+        /// (patches applied before the sweep — e.g. fixing a non-swept
+        /// axis — are kept).
+        working: Arc<Program>,
+        /// The points, in order.
+        points: Arc<[TemplatePoint]>,
+    },
+}
+
+impl std::fmt::Debug for Workload {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let name = match self {
+            Workload::Shots { .. } => "Shots",
+            Workload::Sweep { .. } => "Sweep",
+            Workload::TemplateSweep { .. } => "TemplateSweep",
+        };
+        f.debug_struct(name).field("items", &self.len()).finish()
+    }
+}
+
+impl Workload {
+    /// A template sweep starting from `template`'s current working state
+    /// (shared, not copied).
+    pub fn template_sweep(template: &LoadedTemplate, points: Arc<[TemplatePoint]>) -> Self {
+        Workload::TemplateSweep {
+            working: Arc::clone(&template.working),
+            points,
+        }
+    }
+
+    /// Number of items.
+    pub fn len(&self) -> usize {
+        match self {
+            Workload::Shots { count, .. } => usize::try_from(*count).unwrap_or(usize::MAX),
+            Workload::Sweep { points } => points.len(),
+            Workload::TemplateSweep { points, .. } => points.len(),
+        }
+    }
+
+    /// True when the workload has no items.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Runs `items` back to back on `device`: the per-item body every
+    /// execution path shares. `session_plan` seeds shot batches that
+    /// carry no plan of their own. A template sweep forks one private
+    /// copy of its working program per block. On failure, returns the
+    /// failing item's index with its error.
+    fn run_block(
+        &self,
+        device: &mut Device,
+        items: Range<usize>,
+        session_plan: SeedPlan,
+    ) -> Result<Vec<RunReport>, (usize, DeviceError)> {
+        let mut patched: Option<Program> = None;
+        let mut reports = Vec::with_capacity(items.len());
+        for i in items {
+            let (program, seeds) = match self {
+                Workload::Shots {
+                    program,
+                    plan,
+                    first,
+                    ..
+                } => (
+                    program.program(),
+                    plan.unwrap_or(session_plan).shot(first + i as u64),
+                ),
+                Workload::Sweep { points } => (points[i].0.program(), points[i].1),
+                Workload::TemplateSweep { working, points } => {
+                    let working = patched.get_or_insert_with(|| Program::clone(working));
+                    for (name, value) in &points[i].patches {
+                        working.patch(name, *value).map_err(|e| (i, e.into()))?;
+                    }
+                    (&*working, points[i].seeds)
+                }
+            };
+            device.reseed(seeds.chip, seeds.jitter);
+            reports.push(device.run(program).map_err(|e| (i, e))?);
+        }
+        Ok(reports)
+    }
+}
+
+/// Rejects template-sweep items whose points patch a different axis set
+/// than point 0: a skipped axis would inherit worker-dependent state,
+/// breaking sequential == parallel.
+fn check_axis_sets(points: &[TemplatePoint], items: Range<usize>) -> Result<(), DeviceError> {
+    fn axes(p: &TemplatePoint) -> Vec<&str> {
+        let mut names: Vec<&str> = p.patches.iter().map(|(n, _)| n.as_str()).collect();
+        names.sort_unstable();
+        names
+    }
+    // An empty sweep has no items to check.
+    let want = points.first().map(axes).unwrap_or_default();
+    for i in items {
+        let got = axes(&points[i]);
+        if got != want {
+            return Err(DeviceError::Config(format!(
+                "template sweep point {i} patches axes {got:?}, expected {want:?}"
+            )));
+        }
+    }
+    Ok(())
+}
+
 /// What one persistent worker returns for its contiguous item block:
 /// the reports in item order, or the first failing item's index and
 /// error.
 type BlockResult = Result<Vec<RunReport>, (usize, DeviceError)>;
 
-/// A unit of work shipped to a persistent engine worker. The worker
-/// hands the task its long-lived device slot; the task installs a fresh
-/// clone when the caller marked it stale.
-type EngineTask = Box<dyn FnOnce(&mut Option<Device>) -> BlockResult + Send>;
+/// A block of work shipped to a persistent engine worker: a fresh device
+/// clone when the caller marked the worker's warm one stale, plus the
+/// workload, the items to run on it and the session's seed plan.
+struct EngineTask {
+    refresh: Option<Device>,
+    work: Workload,
+    block: Range<usize>,
+    plan: SeedPlan,
+}
 
 /// One persistent worker thread plus the caller-side view of the warm
 /// device clone it holds.
@@ -122,7 +269,14 @@ fn spawn_engine_worker() -> EngineWorker {
         // The warm device clone, owned by the thread across batches.
         let mut device: Option<Device> = None;
         while let Ok(task) = task_rx.recv() {
-            if result_tx.send(task(&mut device)).is_err() {
+            if let Some(fresh) = task.refresh {
+                device = Some(fresh);
+            }
+            let device = device.as_mut().expect("warm device installed");
+            if result_tx
+                .send(task.work.run_block(device, task.block, task.plan))
+                .is_err()
+            {
                 break;
             }
         }
@@ -147,13 +301,13 @@ fn spawn_engine_worker() -> EngineWorker {
 /// run-to-run device state irrelevant — only parameter mutations
 /// matter, and those all flow through `device_mut`).
 ///
-/// Items are dealt in contiguous blocks (worker `t` of `w` takes
-/// `[t·n/w, (t+1)·n/w)`) instead of stride-1 interleave, and every
-/// worker appends into its own result vector — no shared result
-/// cache lines, and block concatenation preserves item order for free.
-/// On failure the *lowest-item-index* error is returned — the same
-/// error the sequential loop's early return would surface, since every
-/// item before it succeeds identically on both paths.
+/// Items are dealt in contiguous blocks (worker `t` of `w` takes the
+/// `t`-th of `w` equal slices of the range) instead of stride-1
+/// interleave, and every worker appends into its own result vector — no
+/// shared result cache lines, and block concatenation preserves item
+/// order for free. On failure the *lowest-item-index* error is returned
+/// — the same error the sequential loop's early return would surface,
+/// since every item before it succeeds identically on both paths.
 #[derive(Default)]
 struct WorkerPool {
     workers: Vec<EngineWorker>,
@@ -168,26 +322,20 @@ impl WorkerPool {
         }
     }
 
-    /// Runs `items` units across `workers` threads and returns the
-    /// reports in item order. `make_worker(t)` builds worker `t`'s item
-    /// closure on the caller's thread (capturing `Arc`-shared points, a
-    /// working program copy, …); the closure receives the worker's warm
-    /// device and the item index.
-    fn run<W>(
+    /// Runs `items` of `work` across `workers` threads and returns the
+    /// reports in item order.
+    fn run(
         &mut self,
         workers: usize,
-        items: usize,
+        work: &Workload,
+        items: Range<usize>,
         device: &Device,
         generation: u64,
-        mut make_worker: impl FnMut(usize) -> W,
-    ) -> Result<Vec<RunReport>, DeviceError>
-    where
-        W: FnMut(&mut Device, usize) -> Result<RunReport, DeviceError> + Send + 'static,
-    {
+        plan: SeedPlan,
+    ) -> Result<Vec<RunReport>, DeviceError> {
         self.ensure(workers);
+        let n = items.len();
         for (t, worker) in self.workers.iter_mut().enumerate().take(workers) {
-            let lo = t * items / workers;
-            let hi = (t + 1) * items / workers;
             // A stale worker gets a fresh clone of the owned device; a
             // current one reuses the clone it already holds.
             let refresh = if worker.generation == Some(generation) {
@@ -196,27 +344,18 @@ impl WorkerPool {
                 Some(device.clone())
             };
             worker.generation = Some(generation);
-            let mut work = make_worker(t);
-            let task: EngineTask = Box::new(move |slot| {
-                if let Some(fresh) = refresh {
-                    *slot = Some(fresh);
-                }
-                let device = slot.as_mut().expect("warm device installed");
-                let mut out = Vec::with_capacity(hi - lo);
-                for i in lo..hi {
-                    match work(device, i) {
-                        Ok(r) => out.push(r),
-                        Err(e) => return Err((i, e)),
-                    }
-                }
-                Ok(out)
-            });
+            let task = EngineTask {
+                refresh,
+                work: work.clone(),
+                block: items.start + t * n / workers..items.start + (t + 1) * n / workers,
+                plan,
+            };
             assert!(
                 worker.tasks.send(task).is_ok(),
                 "engine worker disconnected"
             );
         }
-        let mut reports = Vec::with_capacity(items);
+        let mut reports = Vec::with_capacity(n);
         let mut first_error: Option<(usize, DeviceError)> = None;
         for worker in self.workers.iter_mut().take(workers) {
             match worker.results.recv().expect("engine worker panicked") {
@@ -245,30 +384,6 @@ impl Drop for WorkerPool {
             let _ = thread.join();
         }
     }
-}
-
-/// Rejects template sweeps whose points patch different axis sets (see
-/// [`TemplatePoint::patches`]): a skipped axis would inherit
-/// worker-dependent state, breaking sequential == parallel. Exposed so
-/// higher layers that drive template points themselves (e.g. the
-/// experiment harness's hook-aware sequential loop) enforce the same
-/// rule instead of copying it.
-pub fn validate_axis_sets(points: &[TemplatePoint]) -> Result<(), DeviceError> {
-    let Some(first) = points.first() else {
-        return Ok(());
-    };
-    let mut want: Vec<&str> = first.patches.iter().map(|(n, _)| n.as_str()).collect();
-    want.sort_unstable();
-    for (i, p) in points.iter().enumerate().skip(1) {
-        let mut got: Vec<&str> = p.patches.iter().map(|(n, _)| n.as_str()).collect();
-        got.sort_unstable();
-        if got != want {
-            return Err(DeviceError::Config(format!(
-                "template sweep point {i} patches axes {got:?}, expected {want:?}"
-            )));
-        }
-    }
-    Ok(())
 }
 
 impl SeedPlan {
@@ -323,14 +438,15 @@ impl LoadedProgram {
 }
 
 /// A template prepared for patch-per-point sweeps: the pristine program
-/// shared behind an [`Arc`] (cloning a `LoadedTemplate` for a worker
-/// shard copies a pointer plus one working program), and a private
-/// working copy whose slots are rewritten in place — no re-assembly, no
-/// re-encode of anything but the touched immediates.
+/// and the working copy, both shared behind an [`Arc`]. The working copy
+/// is copied on write — only by the first patch while it is shared (with
+/// the base, a clone, or a [`Workload`]) — and its slots are then
+/// rewritten in place: no re-assembly, no re-encode of anything but the
+/// touched immediates.
 #[derive(Debug, Clone)]
 pub struct LoadedTemplate {
     base: Arc<Program>,
-    working: Program,
+    working: Arc<Program>,
 }
 
 impl LoadedTemplate {
@@ -347,13 +463,13 @@ impl LoadedTemplate {
     /// Patches every slot named `name` in the working copy; O(1) per
     /// site.
     pub fn patch(&mut self, name: &str, value: i64) -> Result<usize, PatchError> {
-        self.working.patch(name, value)
+        Arc::make_mut(&mut self.working).patch(name, value)
     }
 
-    /// Restores the working copy to the pristine template (a full program
-    /// copy — only needed to *undo* patches, never between sweep points).
+    /// Restores the working copy to the pristine template (a pointer
+    /// copy; the next patch copies the program again).
     pub fn reset(&mut self) {
-        self.working = (*self.base).clone();
+        self.working = Arc::clone(&self.base);
     }
 }
 
@@ -550,16 +666,15 @@ impl Session {
     }
 
     /// Number of batch shot indices consumed so far; the next
-    /// [`Session::run_shots`] / [`Session::run_shots_parallel`] batch
-    /// starts its seed derivation here.
+    /// [`Session::run_shots`] batch starts its seed derivation here.
     pub fn shots_run(&self) -> u64 {
         self.next_shot
     }
 
-    /// Replaces the session's seed plan. Pool workers use this (paired
-    /// with [`Session::reset_shot_counter`]) to make one warm session
-    /// replay a job exactly as a fresh session built from the job's
-    /// seeds would — the device pool's deterministic-replay contract.
+    /// Replaces the session's seed plan. Paired with
+    /// [`Session::reset_shot_counter`], a reused session then replays
+    /// [`Session::run_shots`] exactly as a fresh session built from that
+    /// plan's seeds would.
     pub fn set_seed_plan(&mut self, plan: SeedPlan) {
         self.plan = plan;
     }
@@ -583,14 +698,14 @@ impl Session {
         }
     }
 
-    /// Prepares a template for patch-per-point sweeps: one program copy
-    /// for the working state, the pristine original shared behind an
-    /// [`Arc`]. After loading, a whole sweep costs O(1)-word patches per
-    /// point — no assembler, no program reconstruction.
+    /// Prepares a template for patch-per-point sweeps: one program copy,
+    /// shared by the pristine original and the working state until the
+    /// first patch. After loading, a whole sweep costs O(1)-word patches
+    /// per point — no assembler, no program reconstruction.
     pub fn load_template(&self, template: &ProgramTemplate) -> LoadedTemplate {
         let base = Arc::new(template.program().clone());
         LoadedTemplate {
-            working: (*base).clone(),
+            working: Arc::clone(&base),
             base,
         }
     }
@@ -621,109 +736,6 @@ impl Session {
         self.device.run(&program.program)
     }
 
-    /// Runs `shots` shots sequentially with seeds derived from the
-    /// session's seed plan, continuing from where the previous batch left
-    /// off (shot `i` of the session's lifetime uses `seed_plan().shot(i)`).
-    /// The shot counter advances only when the whole batch succeeds, so a
-    /// retried batch replays the same seed indices — matching
-    /// [`Session::run_shots_parallel`] on the error path too.
-    pub fn run_shots(
-        &mut self,
-        program: &LoadedProgram,
-        shots: u64,
-    ) -> Result<BatchReport, DeviceError> {
-        let plan = self.seed_plan();
-        let first = self.next_shot;
-        let t0 = now_ns();
-        let mut reports = Vec::with_capacity(shots as usize);
-        for i in first..first + shots {
-            reports.push(self.run_shot(program, plan.shot(i))?);
-        }
-        self.next_shot = first + shots;
-        self.span_batch(t0, shots, 0);
-        Ok(BatchReport { shots: reports })
-    }
-
-    /// Runs a sweep: each point is a prepared program with its own shot
-    /// seeds, executed back-to-back on the one calibrated device.
-    pub fn run_sweep(
-        &mut self,
-        points: &[(LoadedProgram, ShotSeeds)],
-    ) -> Result<Vec<RunReport>, DeviceError> {
-        let t0 = now_ns();
-        let reports = points
-            .iter()
-            .map(|(program, seeds)| self.run_shot(program, *seeds))
-            .collect();
-        self.span_batch(t0, points.len() as u64, 0);
-        reports
-    }
-
-    /// Dispatches `items` units onto the session's persistent worker
-    /// pool: resolves the thread count, hands stale workers a fresh
-    /// device clone, and deals contiguous item blocks. All parallel
-    /// entry points funnel through here.
-    fn run_pooled<W>(
-        &mut self,
-        threads: usize,
-        items: usize,
-        make_worker: impl FnMut(usize) -> W,
-    ) -> Result<Vec<RunReport>, DeviceError>
-    where
-        W: FnMut(&mut Device, usize) -> Result<RunReport, DeviceError> + Send + 'static,
-    {
-        if items == 0 {
-            return Ok(Vec::new());
-        }
-        let workers = resolve_threads(threads, items);
-        let t0 = now_ns();
-        let reports = self
-            .pool
-            .run(workers, items, &self.device, self.generation, make_worker);
-        self.span_batch(t0, items as u64, workers as u64);
-        reports
-    }
-
-    /// Runs a sweep sharded across `threads` persistent worker threads
-    /// (`0` = one per available core), each on its warm clone of the
-    /// calibrated device; point `i` runs with exactly the seeds of the
-    /// sequential [`Session::run_sweep`], so the reports (returned in
-    /// point order) are bit-identical to it. Like
-    /// [`Session::run_shots_parallel`], only the clones run — the owned
-    /// device's RNG streams stay where they were.
-    ///
-    /// Copies the slice once into a shared `Arc<[_]>`; callers that
-    /// already hold one use [`Session::run_sweep_parallel_shared`] and
-    /// copy nothing. Every point's program is already `Arc`-shared
-    /// inside its [`LoadedProgram`] — no instruction sequence is copied
-    /// anywhere in the fan-out.
-    pub fn run_sweep_parallel(
-        &mut self,
-        points: &[(LoadedProgram, ShotSeeds)],
-        threads: usize,
-    ) -> Result<Vec<RunReport>, DeviceError> {
-        self.run_sweep_parallel_shared(Arc::from(points.to_vec()), threads)
-    }
-
-    /// [`Session::run_sweep_parallel`] over an already-shared point
-    /// list: the workers borrow `points` through the one `Arc`, so the
-    /// fan-out copies no point data at all (the pool's program cache and
-    /// the experiment harness hold their sweeps this way).
-    pub fn run_sweep_parallel_shared(
-        &mut self,
-        points: Arc<[(LoadedProgram, ShotSeeds)]>,
-        threads: usize,
-    ) -> Result<Vec<RunReport>, DeviceError> {
-        self.run_pooled(threads, points.len(), |_| {
-            let points = Arc::clone(&points);
-            move |device: &mut Device, i: usize| {
-                let (program, seeds) = &points[i];
-                device.reseed(seeds.chip, seeds.jitter);
-                device.run(program.program())
-            }
-        })
-    }
-
     /// Runs a loaded template once with explicit seeds, in its current
     /// patch state.
     pub fn run_template(
@@ -735,109 +747,89 @@ impl Session {
         self.device.run(template.working())
     }
 
-    /// Runs a patch-per-point sweep: for each point, rewrites the named
-    /// slots of the template's working copy in place (O(1) per axis — no
-    /// re-assembly, no program rebuild) and runs one shot with the
+    /// Runs the items `items` of `work` and returns their reports in item
+    /// order — the one batch entry point. Every item reseeds before it
+    /// runs, so item `i` produces the same report whatever range it runs
+    /// in and however the range is sharded.
+    ///
+    /// `threads` is resolved through [`resolve_threads`] (`0` = one per
+    /// available core). One thread runs the range on the owned device;
+    /// more shard it in contiguous blocks across the session's
+    /// persistent workers, each on its warm clone of the calibrated
+    /// device, and leave the owned device's RNG streams where they were.
+    /// A [`Workload::Shots`] run that succeeds leaves the shot counter
+    /// ([`Session::shots_run`]) just past its last shot, so the next
+    /// [`Session::run_shots`] continues the seed sequence.
+    ///
+    /// # Panics
+    ///
+    /// If `items` reaches past `work.len()`.
+    pub fn execute(
+        &mut self,
+        work: &Workload,
+        items: Range<usize>,
+        threads: usize,
+    ) -> Result<Vec<RunReport>, DeviceError> {
+        assert!(
+            items.start <= items.end && items.end <= work.len(),
+            "items {items:?} out of range for {work:?}"
+        );
+        if let Workload::TemplateSweep { points, .. } = work {
+            check_axis_sets(points, items.clone())?;
+        }
+        let t0 = now_ns();
+        let workers = resolve_threads(threads, items.len());
+        let reports = if workers == 1 {
+            work.run_block(&mut self.device, items.clone(), self.plan)
+                .map_err(|(_, e)| e)?
+        } else {
+            let (device, generation) = (&self.device, self.generation);
+            self.pool
+                .run(workers, work, items.clone(), device, generation, self.plan)?
+        };
+        let fanout = if workers == 1 { 0 } else { workers as u64 };
+        self.span_batch(t0, items.len() as u64, fanout);
+        if let Workload::Shots { first, .. } = work {
+            self.next_shot = first + items.end as u64;
+        }
+        Ok(reports)
+    }
+
+    /// Runs `shots` shots sequentially with seeds derived from the
+    /// session's seed plan, continuing from where the previous batch left
+    /// off (shot `i` of the session's lifetime uses `seed_plan().shot(i)`).
+    /// The shot counter advances only when the whole batch succeeds, so a
+    /// retried batch replays the same seed indices.
+    pub fn run_shots(
+        &mut self,
+        program: &LoadedProgram,
+        shots: u64,
+    ) -> Result<BatchReport, DeviceError> {
+        let work = Workload::Shots {
+            program: program.clone(),
+            plan: None,
+            first: self.next_shot,
+            count: shots,
+        };
+        self.execute(&work, 0..work.len(), 1)
+            .map(|shots| BatchReport { shots })
+    }
+
+    /// Runs a patch-per-point sweep sequentially: each point's axes are
+    /// patched into a copy of the template's working state (O(1) per
+    /// axis — no re-assembly, no program rebuild) and run with the
     /// point's seeds. Every point must patch the same set of axes; a
     /// mismatch against point 0 is rejected before anything runs.
     pub fn run_template_sweep(
         &mut self,
-        template: &mut LoadedTemplate,
-        points: &[TemplatePoint],
-    ) -> Result<Vec<RunReport>, DeviceError> {
-        validate_axis_sets(points)?;
-        let t0 = now_ns();
-        let mut reports = Vec::with_capacity(points.len());
-        for point in points {
-            for (name, value) in &point.patches {
-                template.patch(name, *value)?;
-            }
-            reports.push(self.run_template(template, point.seeds)?);
-        }
-        self.span_batch(t0, points.len() as u64, 0);
-        Ok(reports)
-    }
-
-    /// Runs a template sweep sharded across `threads` persistent worker
-    /// threads (`0` = one per available core). Workers share the point
-    /// list behind an [`Arc`] and fork their per-worker program from the
-    /// template's *current working state* (one clone per worker, not per
-    /// point), so patches applied before the sweep — e.g. fixing a
-    /// non-swept axis — are honored exactly as in the sequential
-    /// [`Session::run_template_sweep`]. Point `i` runs with the same
-    /// program state and seeds as in the sequential sweep, so the
-    /// reports (in point order) are bit-identical to it.
-    ///
-    /// Copies the slice once into a shared `Arc<[_]>`; callers that
-    /// already hold one use
-    /// [`Session::run_template_sweep_parallel_shared`] and copy nothing.
-    pub fn run_template_sweep_parallel(
-        &mut self,
         template: &LoadedTemplate,
         points: &[TemplatePoint],
-        threads: usize,
     ) -> Result<Vec<RunReport>, DeviceError> {
-        self.run_template_sweep_parallel_shared(template, Arc::from(points.to_vec()), threads)
-    }
-
-    /// [`Session::run_template_sweep_parallel`] over an already-shared
-    /// point list — no per-call copy of the points.
-    pub fn run_template_sweep_parallel_shared(
-        &mut self,
-        template: &LoadedTemplate,
-        points: Arc<[TemplatePoint]>,
-        threads: usize,
-    ) -> Result<Vec<RunReport>, DeviceError> {
-        validate_axis_sets(&points)?;
-        let start = Arc::new(template.working().clone());
-        self.run_pooled(threads, points.len(), |_| {
-            let points = Arc::clone(&points);
-            let mut working = (*start).clone();
-            move |device: &mut Device, i: usize| {
-                let point = &points[i];
-                for (name, value) in &point.patches {
-                    working.patch(name, *value)?;
-                }
-                device.reseed(point.seeds.chip, point.seeds.jitter);
-                device.run(&working)
-            }
-        })
-    }
-
-    /// Runs `shots` shots sharded across `threads` persistent worker
-    /// threads (`0` = one per available core), each working on its warm
-    /// clone of the calibrated device. Seeds come from the same plan and
-    /// the same continuing shot indices as [`Session::run_shots`], so
-    /// the result is bit-identical to the sequential batch (and is
-    /// returned in shot order). The session's shot counter advances only
-    /// when the whole batch succeeds.
-    ///
-    /// Only the clones run: the owned device's RNG streams stay where
-    /// they were, unlike [`Session::run_shots`] which leaves them at the
-    /// last shot's position. Code mixing batches with non-reseeded
-    /// [`Session::run`] calls should not rely on the RNG position the
-    /// previous batch left behind — use [`Session::run_shot`] with
-    /// explicit seeds when reproducibility matters.
-    pub fn run_shots_parallel(
-        &mut self,
-        program: &LoadedProgram,
-        shots: u64,
-        threads: usize,
-    ) -> Result<BatchReport, DeviceError> {
-        let plan = self.seed_plan();
-        let first = self.next_shot;
-        let reports = self.run_pooled(threads, shots as usize, |_| {
-            // The program is shared — a `LoadedProgram` clone is an `Arc`
-            // pointer copy, never an instruction copy.
-            let program = program.clone();
-            move |device: &mut Device, i: usize| {
-                let seeds = plan.shot(first + i as u64);
-                device.reseed(seeds.chip, seeds.jitter);
-                device.run(program.program())
-            }
-        })?;
-        self.next_shot = first + shots;
-        Ok(BatchReport { shots: reports })
+        self.execute(
+            &Workload::template_sweep(template, points.into()),
+            0..points.len(),
+            1,
+        )
     }
 }
 
@@ -864,6 +856,26 @@ mod tests {
             trace: TraceLevel::Off,
             ..DeviceConfig::default()
         }
+    }
+
+    /// `count` shots continuing `session`'s seed sequence.
+    fn shots(session: &Session, loaded: &LoadedProgram, count: u64) -> Workload {
+        Workload::Shots {
+            program: loaded.clone(),
+            plan: Some(session.seed_plan()),
+            first: session.shots_run(),
+            count,
+        }
+    }
+
+    fn sweep(points: &[(LoadedProgram, ShotSeeds)]) -> Workload {
+        Workload::Sweep {
+            points: points.into(),
+        }
+    }
+
+    fn template_sweep(template: &LoadedTemplate, points: &[TemplatePoint]) -> Workload {
+        Workload::template_sweep(template, points.into())
     }
 
     #[test]
@@ -905,10 +917,12 @@ mod tests {
         // A second session starts the shot counter at 0 again, so the
         // parallel batch covers the same seed indices.
         let mut session = Session::new(config()).unwrap();
-        let parallel = session.run_shots_parallel(&loaded, 6, 3).unwrap();
+        let parallel = session
+            .execute(&shots(&session, &loaded, 6), 0..6, 3)
+            .unwrap();
         assert_eq!(sequential.len(), parallel.len());
         assert_eq!(session.shots_run(), 6);
-        for (a, b) in sequential.shots.iter().zip(parallel.shots.iter()) {
+        for (a, b) in sequential.shots.iter().zip(parallel.iter()) {
             assert_eq!(a.registers, b.registers);
             assert_eq!(a.md_results, b.md_results);
         }
@@ -946,8 +960,8 @@ mod tests {
         let points: Vec<(LoadedProgram, ShotSeeds)> = (0..5)
             .map(|i| (session.load_assembly(SEGMENT).unwrap(), plan.shot(i)))
             .collect();
-        let sequential = session.run_sweep(&points).unwrap();
-        let parallel = session.run_sweep_parallel(&points, 3).unwrap();
+        let sequential = session.execute(&sweep(&points), 0..5, 1).unwrap();
+        let parallel = session.execute(&sweep(&points), 0..5, 3).unwrap();
         assert_eq!(sequential.len(), parallel.len());
         for (i, (a, b)) in sequential.iter().zip(parallel.iter()).enumerate() {
             assert_eq!(a.registers, b.registers, "point {i}");
@@ -962,7 +976,7 @@ mod tests {
         let points: Vec<(LoadedProgram, ShotSeeds)> = (0..3)
             .map(|i| (session.load_assembly(SEGMENT).unwrap(), plan.shot(i as u64)))
             .collect();
-        let reports = session.run_sweep(&points).unwrap();
+        let reports = session.execute(&sweep(&points), 0..3, 1).unwrap();
         assert_eq!(reports.len(), 3);
         // Same seeds, same program → the sweep repeats the batch exactly.
         let loaded = session.load_assembly(SEGMENT).unwrap();
@@ -1062,15 +1076,17 @@ mod tests {
         // The tentpole contract: patching the loaded template per point
         // is bit-identical to assembling a fresh program per point.
         let mut session = Session::new(config()).unwrap();
-        let mut template = session.load_template(&tau_template());
+        let template = session.load_template(&tau_template());
         let points = tau_points(&session, &TAUS);
-        let got = session.run_template_sweep(&mut template, &points).unwrap();
+        let got = session.run_template_sweep(&template, &points).unwrap();
         let per_point: Vec<(LoadedProgram, ShotSeeds)> = TAUS
             .iter()
             .zip(points.iter())
             .map(|(&tau, p)| (session.load_assembly(&tau_source(tau)).unwrap(), p.seeds))
             .collect();
-        let want = session.run_sweep(&per_point).unwrap();
+        let want = session
+            .execute(&sweep(&per_point), 0..per_point.len(), 1)
+            .unwrap();
         assert_eq!(got.len(), want.len());
         for (i, (a, b)) in got.iter().zip(want.iter()).enumerate() {
             assert_eq!(a.registers, b.registers, "point {i}");
@@ -1081,12 +1097,11 @@ mod tests {
     #[test]
     fn parallel_template_sweep_matches_sequential() {
         let mut session = Session::new(config()).unwrap();
-        let mut template = session.load_template(&tau_template());
-        let points = tau_points(&session, &TAUS);
-        let sequential = session.run_template_sweep(&mut template, &points).unwrap();
         let template = session.load_template(&tau_template());
+        let points = tau_points(&session, &TAUS);
+        let sequential = session.run_template_sweep(&template, &points).unwrap();
         let parallel = session
-            .run_template_sweep_parallel(&template, &points, 3)
+            .execute(&template_sweep(&template, &points), 0..points.len(), 3)
             .unwrap();
         for (i, (a, b)) in sequential.iter().zip(parallel.iter()).enumerate() {
             assert_eq!(a.registers, b.registers, "point {i}");
@@ -1121,18 +1136,16 @@ mod tests {
         let points = tau_points(&session, &TAUS);
         let mut loaded = session.load_template(&template);
         loaded.patch("window", 24).unwrap();
-        let sequential = session.run_template_sweep(&mut loaded, &points).unwrap();
-        let mut loaded = session.load_template(&template);
-        loaded.patch("window", 24).unwrap();
+        let sequential = session.run_template_sweep(&loaded, &points).unwrap();
         let parallel = session
-            .run_template_sweep_parallel(&loaded, &points, 3)
+            .execute(&template_sweep(&loaded, &points), 0..points.len(), 3)
             .unwrap();
         for (i, (a, b)) in sequential.iter().zip(parallel.iter()).enumerate() {
             assert_eq!(a.md_results, b.md_results, "point {i}");
         }
         // And the shortened window really took effect versus the default.
-        let mut loaded = session.load_template(&template);
-        let default_window = session.run_template_sweep(&mut loaded, &points).unwrap();
+        let loaded = session.load_template(&template);
+        let default_window = session.run_template_sweep(&loaded, &points).unwrap();
         assert_ne!(
             sequential[0].stats.host_cycles, default_window[0].stats.host_cycles,
             "the pre-sweep patch must change the run"
@@ -1142,31 +1155,46 @@ mod tests {
     #[test]
     fn template_sweep_rejects_mismatched_axes() {
         let mut session = Session::new(config()).unwrap();
-        let mut template = session.load_template(&tau_template());
+        let template = session.load_template(&tau_template());
         let mut points = tau_points(&session, &TAUS);
         points[2].patches.clear();
-        let err = session
-            .run_template_sweep(&mut template, &points)
-            .unwrap_err();
+        let err = session.run_template_sweep(&template, &points).unwrap_err();
         assert!(matches!(err, DeviceError::Config(_)));
         let err = session
-            .run_template_sweep_parallel(&template, &points, 2)
+            .execute(&template_sweep(&template, &points), 0..points.len(), 2)
             .unwrap_err();
         assert!(matches!(err, DeviceError::Config(_)));
+        // A range that stops short of the bad point runs; one that
+        // reaches it is rejected against point 0's axes.
+        let work = template_sweep(&template, &points);
+        assert_eq!(session.execute(&work, 0..2, 1).unwrap().len(), 2);
+        assert!(session.execute(&work, 1..3, 1).is_err());
+    }
+
+    #[test]
+    fn axis_sets_match_in_any_order() {
+        let point = |patches: &[(&str, i64)]| TemplatePoint {
+            patches: patches.iter().map(|&(n, v)| (n.to_string(), v)).collect(),
+            seeds: ShotSeeds { chip: 0, jitter: 0 },
+        };
+        let points = [point(&[("a", 1), ("b", 2)]), point(&[("b", 3), ("a", 4)])];
+        assert!(check_axis_sets(&points, 0..2).is_ok());
+        assert!(check_axis_sets(&[], 0..0).is_ok());
+        let skipped = [point(&[("a", 1), ("b", 2)]), point(&[("a", 3)])];
+        let err = check_axis_sets(&skipped, 0..2).unwrap_err();
+        assert!(err.to_string().contains("expected"));
     }
 
     #[test]
     fn template_patch_errors_surface_as_device_errors() {
         let mut session = Session::new(config()).unwrap();
-        let mut template = session.load_template(&tau_template());
+        let template = session.load_template(&tau_template());
         let seeds = session.seed_plan().shot(0);
         let points = vec![TemplatePoint {
             patches: vec![("nope".to_string(), 4)],
             seeds,
         }];
-        let err = session
-            .run_template_sweep(&mut template, &points)
-            .unwrap_err();
+        let err = session.run_template_sweep(&template, &points).unwrap_err();
         assert!(matches!(
             err,
             DeviceError::Patch(quma_isa::template::PatchError::UnknownSlot(_))
@@ -1215,14 +1243,18 @@ mod tests {
         let loaded = session.load_assembly(SEGMENT).unwrap();
         let sequential = session.run_shots(&loaded, 6).unwrap();
         let mut session = Session::new(config()).unwrap();
-        let auto = session.run_shots_parallel(&loaded, 6, 0).unwrap();
-        for (a, b) in sequential.shots.iter().zip(auto.shots.iter()) {
+        let auto = session
+            .execute(&shots(&session, &loaded, 6), 0..6, 0)
+            .unwrap();
+        for (a, b) in sequential.shots.iter().zip(auto.iter()) {
             assert_eq!(a.registers, b.registers);
             assert_eq!(a.md_results, b.md_results);
         }
         // More workers than shots is fine too.
         let mut session = Session::new(config()).unwrap();
-        let oversubscribed = session.run_shots_parallel(&loaded, 3, 64).unwrap();
+        let oversubscribed = session
+            .execute(&shots(&session, &loaded, 3), 0..3, 64)
+            .unwrap();
         assert_eq!(oversubscribed.len(), 3);
     }
 

@@ -64,8 +64,8 @@ pub mod prelude {
     pub use crate::device::{Device, DeviceError, MdRecord, RunReport, RunStats};
     pub use crate::digital_out::{DigitalOutputUnit, MarkerPulse, NUM_CHANNELS};
     pub use crate::engine::{
-        derive_seed, resolve_threads, validate_axis_sets, BatchReport, LoadedProgram,
-        LoadedTemplate, SeedPlan, Session, SessionTracer, ShotSeeds, TemplatePoint,
+        derive_seed, resolve_threads, BatchReport, LoadedProgram, LoadedTemplate, SeedPlan,
+        Session, SessionTracer, ShotSeeds, TemplatePoint, Workload,
     };
     pub use crate::event::{Event, FiredEvent};
     pub use crate::exec::{ExecStats, ExecutionController, StepOutcome};

@@ -23,7 +23,7 @@
 use crate::fit::FitError;
 use quma_compiler::prelude::{Bindings, CompileError, CompilerConfig, GateSet, QuantumProgram};
 use quma_core::prelude::{
-    DeviceConfig, LoadedProgram, RunReport, Session, ShotSeeds, TemplatePoint,
+    DeviceConfig, LoadedProgram, RunReport, Session, ShotSeeds, TemplatePoint, Workload,
 };
 use quma_isa::prelude::{PatchError, Program, ProgramTemplate};
 use std::sync::Arc;
@@ -342,23 +342,8 @@ pub fn run_on_session<E: Experiment>(
 ) -> Result<E::Output, ExperimentError> {
     exp.prepare(cfg, session)?;
     let axes = exp.axes(cfg)?;
-    // Resolve the thread request (0 = auto) against the actual amount of
-    // work, so the mutates_per_point guard below sees the real fan-out.
-    let items = match &axes.mode {
-        ExecutionMode::Collector => 1,
-        ExecutionMode::TemplateSweep | ExecutionMode::ProgramSweep => axes.points.len(),
-        ExecutionMode::Shots { shots, .. } => *shots as usize,
-    };
-    let threads =
-        quma_core::prelude::resolve_threads(threads_override.unwrap_or(axes.threads), items);
-    if threads > 1 && exp.mutates_per_point() {
-        return Err(ExperimentError::Config(format!(
-            "{} mutates the session per point (before_point); it cannot shard \
-             across {threads} workers — run it with threads == 1",
-            exp.name()
-        )));
-    }
-    let reports: Vec<RunReport> = match &axes.mode {
+    let plan = session.seed_plan();
+    let work = match &axes.mode {
         ExecutionMode::Collector => {
             let program = exp.program(cfg)?;
             let bindings: Vec<Bindings> = axes.points.iter().map(|p| p.bindings.clone()).collect();
@@ -374,14 +359,12 @@ pub fn run_on_session<E: Experiment>(
                 }
                 .into());
             }
-            vec![report]
+            return exp.analyze(cfg, &axes, &[report]);
         }
         ExecutionMode::TemplateSweep => {
             let program = exp.program(cfg)?;
             let gates = exp.gates(cfg);
             let template = exp.template(cfg)?;
-            let mut loaded = session.load_template(&template);
-            let plan = session.seed_plan();
             let points = axes
                 .points
                 .iter()
@@ -393,29 +376,12 @@ pub fn run_on_session<E: Experiment>(
                     })
                 })
                 .collect::<Result<Vec<_>, ExperimentError>>()?;
-            if threads > 1 {
-                // `Arc::from(points)` moves the Vec's buffer — the
-                // engine's `_shared` entry point copies no point data.
-                session.run_template_sweep_parallel_shared(&loaded, Arc::from(points), threads)?
-            } else {
-                // The hook-aware sequential loop below bypasses the
-                // engine's sweep entry point, so apply the same axis-set
-                // rule here: a point whose bindings skip an axis would
-                // silently inherit the previous point's value.
-                quma_core::prelude::validate_axis_sets(&points)?;
-                let mut out = Vec::with_capacity(points.len());
-                for (i, point) in points.iter().enumerate() {
-                    exp.before_point(cfg, session, i)?;
-                    for (name, value) in &point.patches {
-                        loaded.patch(name, *value)?;
-                    }
-                    out.push(session.run_template(&loaded, point.seeds)?);
-                }
-                out
+            Workload::TemplateSweep {
+                working: Arc::new(template.program().clone()),
+                points: points.into(),
             }
         }
         ExecutionMode::ProgramSweep => {
-            let plan = session.seed_plan();
             let points = axes
                 .points
                 .iter()
@@ -433,26 +399,39 @@ pub fn run_on_session<E: Experiment>(
                     ))
                 })
                 .collect::<Result<Vec<_>, ExperimentError>>()?;
-            if threads > 1 {
-                session.run_sweep_parallel_shared(Arc::from(points), threads)?
-            } else {
-                let mut out = Vec::with_capacity(points.len());
-                for (i, (program, seeds)) in points.iter().enumerate() {
-                    exp.before_point(cfg, session, i)?;
-                    out.push(session.run_shot(program, *seeds)?);
-                }
-                out
+            Workload::Sweep {
+                points: points.into(),
             }
         }
-        ExecutionMode::Shots { program, shots } => {
-            let loaded = LoadedProgram::from_arc(Arc::clone(program));
-            let batch = if threads > 1 {
-                session.run_shots_parallel(&loaded, *shots, threads)?
-            } else {
-                session.run_shots(&loaded, *shots)?
-            };
-            batch.shots
+        ExecutionMode::Shots { program, shots } => Workload::Shots {
+            program: LoadedProgram::from_arc(Arc::clone(program)),
+            plan: None,
+            first: session.shots_run(),
+            count: *shots,
+        },
+    };
+    // Resolve the thread request (0 = auto) against the actual amount of
+    // work, so the mutates_per_point guard sees the real fan-out.
+    let threads =
+        quma_core::prelude::resolve_threads(threads_override.unwrap_or(axes.threads), work.len());
+    if threads > 1 && exp.mutates_per_point() {
+        return Err(ExperimentError::Config(format!(
+            "{} mutates the session per point (before_point); it cannot shard \
+             across {threads} workers — run it with threads == 1",
+            exp.name()
+        )));
+    }
+    let reports = if exp.mutates_per_point() {
+        // The hook mutates the session between items, so each item runs
+        // on its own, after its hook (threads == 1 is enforced above).
+        let mut reports = Vec::with_capacity(work.len());
+        for i in 0..work.len() {
+            exp.before_point(cfg, session, i)?;
+            reports.extend(session.execute(&work, i..i + 1, 1)?);
         }
+        reports
+    } else {
+        session.execute(&work, 0..work.len(), threads)?
     };
     exp.analyze(cfg, &axes, &reports)
 }
@@ -460,28 +439,70 @@ pub fn run_on_session<E: Experiment>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use quma_compiler::prelude::Kernel;
 
-    fn point(patches: &[(&str, i64)]) -> TemplatePoint {
-        TemplatePoint {
-            patches: patches.iter().map(|&(n, v)| (n.to_string(), v)).collect(),
-            seeds: ShotSeeds { chip: 0, jitter: 0 },
+    /// A template sweep over axes `a` and `b` whose points bind the given
+    /// axes; its output is the number of reports.
+    struct TwoAxes(Vec<Bindings>);
+
+    impl Experiment for TwoAxes {
+        type Config = ();
+        type Output = usize;
+
+        fn name(&self) -> &'static str {
+            "two-axes"
         }
+
+        fn device_config(&self, _cfg: &()) -> DeviceConfig {
+            DeviceConfig::default()
+        }
+
+        fn program(&self, _cfg: &()) -> Result<QuantumProgram, ExperimentError> {
+            let mut program = QuantumProgram::new("two-axes");
+            let mut k = Kernel::new("k");
+            k.init().wait_param("a", 4).wait_param("b", 4).measure(0);
+            program.add_kernel(k);
+            Ok(program)
+        }
+
+        fn axes(&self, _cfg: &()) -> Result<SweepAxes, ExperimentError> {
+            let points = self.0.iter().map(|b| SweepPoint::bound(0.0, b.clone()));
+            Ok(SweepAxes::new(
+                points.collect(),
+                ExecutionMode::TemplateSweep,
+            ))
+        }
+
+        fn analyze(
+            &self,
+            _: &(),
+            _: &SweepAxes,
+            reports: &[RunReport],
+        ) -> Result<usize, ExperimentError> {
+            Ok(reports.len())
+        }
+    }
+
+    fn run_two_axes(second: Bindings, threads: usize) -> Result<usize, ExperimentError> {
+        let exp = TwoAxes(vec![Bindings::new().int("a", 4).int("b", 8), second]);
+        let mut session = Session::new(exp.device_config(&()))?;
+        run_on_session(&exp, &(), &mut session, Some(threads))
     }
 
     #[test]
     fn uniform_axes_accepts_matching_sets_in_any_order() {
-        let points = vec![point(&[("a", 1), ("b", 2)]), point(&[("b", 3), ("a", 4)])];
-        assert!(quma_core::prelude::validate_axis_sets(&points).is_ok());
-        assert!(quma_core::prelude::validate_axis_sets(&[]).is_ok());
+        for threads in [1, 2] {
+            let second = Bindings::new().int("b", 12).int("a", 16);
+            assert_eq!(run_two_axes(second, threads).unwrap(), 2);
+        }
     }
 
     #[test]
     fn uniform_axes_rejects_skipped_axes() {
-        let points = vec![point(&[("a", 1), ("b", 2)]), point(&[("a", 3)])];
-        let err: ExperimentError = quma_core::prelude::validate_axis_sets(&points)
-            .unwrap_err()
-            .into();
-        assert!(matches!(err, ExperimentError::Device(_)));
-        assert!(err.to_string().contains("expected"));
+        for threads in [1, 2] {
+            let err = run_two_axes(Bindings::new().int("a", 12), threads).unwrap_err();
+            assert!(matches!(err, ExperimentError::Device(_)), "{err:?}");
+            assert!(err.to_string().contains("expected"), "{err}");
+        }
     }
 }

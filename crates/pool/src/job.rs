@@ -12,7 +12,7 @@ use crate::metrics::JobMetrics;
 use crossbeam::channel;
 use quma_core::prelude::{
     BatchReport, DeviceConfig, DeviceError, LoadedProgram, RunReport, SeedPlan, Session, ShotSeeds,
-    TemplatePoint,
+    TemplatePoint, Workload,
 };
 use quma_experiments::prelude::{Experiment, ExperimentError};
 use quma_isa::prelude::{Program, ProgramTemplate};
@@ -150,6 +150,18 @@ impl std::error::Error for SubmitError {
     }
 }
 
+/// Why [`crate::DevicePool::job_from_spec`] could not build a job: a
+/// source in the spec failed to assemble (or a template's slots to
+/// attach).
+#[derive(Debug)]
+pub struct SpecError {
+    /// The sweep point whose source failed; `None` for the single
+    /// source of a shot batch or template sweep.
+    pub point: Option<usize>,
+    /// The assembler's error.
+    pub error: DeviceError,
+}
+
 /// Execution failure: the job ran (or was about to run) and failed.
 #[derive(Debug)]
 pub enum JobError {
@@ -238,27 +250,11 @@ where
 
 /// What a job executes.
 pub(crate) enum JobKind {
-    /// `shots` derived-seed shots of one program (seed indices 0..shots,
-    /// exactly like a fresh `Session`).
-    Shots {
-        /// The program, `Arc`-shared with the submitting client and any
-        /// identical submissions.
-        program: Arc<Program>,
-        /// Number of shots.
-        shots: u64,
-    },
-    /// A prepared-program sweep with explicit per-point seeds.
-    Sweep {
-        /// The points, in order.
-        points: Vec<(LoadedProgram, ShotSeeds)>,
-    },
-    /// A compile-once patch-per-point template sweep.
-    TemplateSweep {
-        /// The pristine template, `Arc`-shared.
-        template: Arc<ProgramTemplate>,
-        /// The points (each with explicit seeds).
-        points: Vec<TemplatePoint>,
-    },
+    /// A shot batch, program sweep or template sweep, run through
+    /// `Session::execute` on a warm session. A shot batch without a plan
+    /// of its own (see [`Job::with_seed_plan`]) takes the session's,
+    /// i.e. the one its device configuration seeds.
+    Workload(Workload),
     /// Any [`Experiment`], run through `harness::run_on_session`.
     Experiment(Box<dyn ErasedExperiment>),
 }
@@ -266,15 +262,7 @@ pub(crate) enum JobKind {
 impl std::fmt::Debug for JobKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            JobKind::Shots { shots, .. } => f.debug_struct("Shots").field("shots", shots).finish(),
-            JobKind::Sweep { points } => f
-                .debug_struct("Sweep")
-                .field("points", &points.len())
-                .finish(),
-            JobKind::TemplateSweep { points, .. } => f
-                .debug_struct("TemplateSweep")
-                .field("points", &points.len())
-                .finish(),
+            JobKind::Workload(work) => work.fmt(f),
             JobKind::Experiment(_) => f.debug_struct("Experiment").finish_non_exhaustive(),
         }
     }
@@ -291,19 +279,20 @@ pub struct Job {
     /// config (the warm path). Ignored by experiment jobs, which carry
     /// their own [`Experiment::device_config`].
     pub(crate) device: Option<DeviceConfig>,
-    /// Seed-plan override for `Shots` jobs; `None` derives the plan from
-    /// the device configuration's seeds, exactly like a fresh `Session`.
-    pub(crate) plan: Option<SeedPlan>,
+    /// True when [`Job::with_seed_plan`] was called on a job that is not
+    /// a shot batch (rejected at submit).
+    pub(crate) stray_plan: bool,
     /// `Shots` jobs: emit a [`ShotChunk`] every `chunk` shots (0 = only
     /// the final result).
     pub(crate) chunk: u64,
     /// True when the job's program came out of the pool's content-hash
     /// cache (recorded into [`JobMetrics`]).
     pub(crate) cache_hit: bool,
-    /// Portable re-run description. When the pool has a journal *and*
-    /// the job carries a spec, the job is journaled (submission record
-    /// before enqueue, results/cancellation on completion) and survives
-    /// a crash; spec-less jobs run exactly as before, un-journaled.
+    /// Portable re-run description. When the pool has a journal the job
+    /// is journaled (submission record before enqueue,
+    /// results/cancellation on completion) and survives a crash. A
+    /// journaled pool rejects shot and sweep jobs without one; spec-less
+    /// experiment jobs run un-journaled.
     pub(crate) spec: Option<JobSpec>,
     /// Submitting client id, journaled with the submission record.
     pub(crate) client: String,
@@ -328,7 +317,7 @@ impl Job {
             kind,
             priority: Priority::Normal,
             device: None,
-            plan: None,
+            stray_plan: false,
             chunk: 0,
             cache_hit: false,
             spec: None,
@@ -340,19 +329,30 @@ impl Job {
     /// `shots` derived-seed shots of `program` — bit-identical to a fresh
     /// direct `Session::run_shots` with the same device config and plan.
     pub fn shots(program: Arc<Program>, shots: u64) -> Self {
-        Self::new(JobKind::Shots { program, shots })
+        Self::new(JobKind::Workload(Workload::Shots {
+            program: LoadedProgram::from_arc(program),
+            plan: None,
+            first: 0,
+            count: shots,
+        }))
     }
 
     /// A prepared-program sweep with explicit per-point seeds —
-    /// bit-identical to a direct `Session::run_sweep`.
+    /// bit-identical to a direct `Session::execute` of the same
+    /// [`Workload::Sweep`].
     pub fn sweep(points: Vec<(LoadedProgram, ShotSeeds)>) -> Self {
-        Self::new(JobKind::Sweep { points })
+        Self::new(JobKind::Workload(Workload::Sweep {
+            points: points.into(),
+        }))
     }
 
     /// A patch-per-point template sweep — bit-identical to a direct
     /// `Session::run_template_sweep` on a freshly loaded template.
     pub fn template_sweep(template: Arc<ProgramTemplate>, points: Vec<TemplatePoint>) -> Self {
-        Self::new(JobKind::TemplateSweep { template, points })
+        Self::new(JobKind::Workload(Workload::TemplateSweep {
+            working: Arc::new(template.program().clone()),
+            points: points.into(),
+        }))
     }
 
     /// Any [`Experiment`] — bit-identical to a direct `harness::run`.
@@ -392,7 +392,10 @@ impl Job {
     /// own — so submitting any other kind with a plan is rejected with
     /// `SubmitError::InvalidJob`.
     pub fn with_seed_plan(mut self, plan: SeedPlan) -> Self {
-        self.plan = Some(plan);
+        match &mut self.kind {
+            JobKind::Workload(Workload::Shots { plan: own, .. }) => *own = Some(plan),
+            _ => self.stray_plan = true,
+        }
         self
     }
 
@@ -412,8 +415,9 @@ impl Job {
     /// durable on a journaled pool: the submission is journaled before
     /// enqueue and the result on completion, so `DevicePool::recover`
     /// can serve or re-run it after a crash. The spec must describe the
-    /// same work as the job (the serving layer builds both from one
-    /// submission); the pool trusts, and journals, what it is given.
+    /// same work as the job; [`crate::DevicePool::job_from_spec`] builds
+    /// both from one description, and the pool trusts, and journals,
+    /// what it is given.
     pub fn with_spec(mut self, spec: JobSpec) -> Self {
         self.spec = Some(spec);
         self
@@ -436,8 +440,8 @@ impl Job {
     /// jobs, and device overrides never apply to experiments (which
     /// carry their own [`Experiment::device_config`]).
     pub(crate) fn validate(&self) -> Result<(), DeviceError> {
-        if !matches!(self.kind, JobKind::Shots { .. }) {
-            if self.plan.is_some() {
+        if !matches!(self.kind, JobKind::Workload(Workload::Shots { .. })) {
+            if self.stray_plan {
                 return Err(DeviceError::Config(format!(
                     "a seed plan only applies to shot-batch jobs, not {:?}",
                     self.kind

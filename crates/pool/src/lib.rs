@@ -51,7 +51,7 @@ mod worker;
 pub use cache::{content_hash, ProgramCache, SlotSpec};
 pub use job::{
     CancelOutcome, ExperimentHandle, Job, JobError, JobHandle, JobId, JobOutput, JobPhase,
-    Priority, ShotChunk, SubmitError,
+    Priority, ShotChunk, SpecError, SubmitError,
 };
 pub use metrics::{JobMetrics, PoolStats};
 pub use pool::{DevicePool, PoolConfig, RecoveredJob, RecoveredPool, RecoveredState};
@@ -62,7 +62,7 @@ pub mod prelude {
     pub use crate::cache::{content_hash, ProgramCache, SlotSpec};
     pub use crate::job::{
         CancelOutcome, ExperimentHandle, Job, JobError, JobHandle, JobId, JobOutput, JobPhase,
-        Priority, ShotChunk, SubmitError,
+        Priority, ShotChunk, SpecError, SubmitError,
     };
     pub use crate::metrics::{JobMetrics, PoolStats};
     pub use crate::pool::{DevicePool, PoolConfig, RecoveredJob, RecoveredPool, RecoveredState};

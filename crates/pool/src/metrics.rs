@@ -99,7 +99,7 @@ impl PoolMetrics {
             ),
             warm_session_reuses: c(
                 "quma_pool_warm_session_reuses_total",
-                "Pure jobs served by rewinding an already-warm session",
+                "Pure jobs served on an already-warm session",
             ),
             executed_shots: c(
                 "quma_pool_executed_shots_total",
@@ -154,7 +154,7 @@ pub struct PoolStats {
     /// Jobs that forced a cold `Device::new` (config not yet warm on
     /// that worker).
     pub cold_device_builds: u64,
-    /// Pure jobs (shots/sweeps) served by rewinding an already-warm
+    /// Pure jobs (shots/sweeps) served on an already-warm
     /// session — no device clone at all.
     pub warm_session_reuses: u64,
     /// Shots (and sweep points — each point is one shot) actually

@@ -3,7 +3,8 @@
 
 use crate::cache::{ProgramCache, SlotSpec};
 use crate::job::{
-    ExperimentHandle, Job, JobHandle, JobId, JobOutput, Priority, QueuedJob, Resume, SubmitError,
+    ExperimentHandle, Job, JobHandle, JobId, JobKind, JobOutput, Priority, QueuedJob, Resume,
+    SpecError, SubmitError,
 };
 use crate::metrics::{PoolMetrics, PoolStats};
 use crate::worker::worker_loop;
@@ -38,8 +39,9 @@ pub struct PoolConfig {
     /// Durability: when set, jobs that carry a [`JobSpec`] are journaled
     /// (submission before enqueue, checkpoints per sweep block, result
     /// or cancellation on completion) and [`DevicePool::recover`] can
-    /// rebuild them after a crash. `None` (the default) journals
-    /// nothing and costs nothing.
+    /// rebuild them after a crash; shot and sweep jobs without a spec
+    /// are rejected at submit. `None` (the default) journals nothing
+    /// and costs nothing.
     pub journal: Option<JournalConfig>,
     /// Span-trace ring-buffer capacity in events; `0` (the default)
     /// disables tracing entirely — no buffer is allocated and the
@@ -240,9 +242,11 @@ impl DevicePool {
 
     /// Submits a job, returning its handle — or typed backpressure when
     /// the job's priority queue is at its bound. Inconsistent jobs (a
-    /// seed plan or chunk size on a kind that cannot honor it) are
-    /// rejected here with [`SubmitError::InvalidJob`] instead of being
-    /// silently ignored at run time.
+    /// seed plan or chunk size on a kind that cannot honor it, or a
+    /// shot or sweep job without a [`JobSpec`] on a journaled pool,
+    /// which could not be made durable) are rejected here with
+    /// [`SubmitError::InvalidJob`] instead of being silently ignored or
+    /// run un-journaled.
     pub fn submit(&self, job: Job) -> Result<JobHandle, SubmitError> {
         self.submit_inner(job, None, false)
     }
@@ -284,6 +288,13 @@ impl DevicePool {
         // submission for. Only spec-carrying jobs on a journaled pool pay
         // this; everything else takes the allocation-free path unchanged.
         let journal = match (&self.shared.journal, &job.spec) {
+            (Some(_), None) if matches!(job.kind, JobKind::Workload(_)) => {
+                return Err(SubmitError::InvalidJob(DeviceError::Config(format!(
+                    "{:?} job has no JobSpec; a journaled pool cannot make it durable \
+                     (build it with DevicePool::job_from_spec)",
+                    job.kind
+                ))));
+            }
             (Some(journal), Some(spec)) => {
                 if fixed_id.is_none() {
                     journal
@@ -377,21 +388,85 @@ impl DevicePool {
     /// journaled pool the submission is durable: the source itself is
     /// the job's re-run description.
     pub fn submit_assembly(&self, source: &str, shots: u64) -> Result<JobHandle, SubmitError> {
-        let (program, hit) = self
-            .shared
-            .cache
-            .assemble_keyed(source)
-            .map_err(SubmitError::InvalidJob)?;
-        let mut job = Job::shots(program, shots).mark_cache_hit(hit);
-        if self.shared.journal.is_some() {
-            job = job.with_spec(JobSpec::Shots {
-                source: source.to_string(),
-                shots,
-                plan: None,
-                chunk: 0,
-            });
-        }
+        let spec = JobSpec::Shots {
+            source: source.to_string(),
+            shots,
+            plan: None,
+            chunk: 0,
+        };
+        let job = self
+            .job_from_spec(spec)
+            .map_err(|e| SubmitError::InvalidJob(e.error))?;
         self.submit(job)
+    }
+
+    /// Builds the runnable [`Job`] a shot, sweep or template-sweep
+    /// [`JobSpec`] describes, assembling its sources through the pool
+    /// cache, and attaches the spec so the job is durable on a journaled
+    /// pool. The one place a spec becomes a job: the serving layer, the
+    /// assembly path and recovery all build jobs here. An
+    /// [`JobSpec::Opaque`] spec is rejected — only the layer that
+    /// journaled it can rebuild it.
+    pub fn job_from_spec(&self, spec: JobSpec) -> Result<Job, SpecError> {
+        let cache = &self.shared.cache;
+        let failed = |point| move |error| SpecError { point, error };
+        let job = match &spec {
+            JobSpec::Shots {
+                source,
+                shots,
+                plan,
+                chunk,
+            } => {
+                let (program, hit) = cache.assemble_keyed(source).map_err(failed(None))?;
+                let mut job = Job::shots(program, *shots).mark_cache_hit(hit);
+                if let Some((chip_base, jitter_base)) = *plan {
+                    job = job.with_seed_plan(SeedPlan {
+                        chip_base,
+                        jitter_base,
+                    });
+                }
+                job.with_chunk_shots(*chunk)
+            }
+            JobSpec::Sweep { points } => Job::sweep(
+                points
+                    .iter()
+                    .enumerate()
+                    .map(|(i, point)| {
+                        let program = cache.assemble(&point.source).map_err(failed(Some(i)))?;
+                        let seeds = ShotSeeds {
+                            chip: point.chip,
+                            jitter: point.jitter,
+                        };
+                        Ok((LoadedProgram::from_arc(program), seeds))
+                    })
+                    .collect::<Result<_, _>>()?,
+            ),
+            JobSpec::TemplateSweep {
+                source,
+                slots,
+                points,
+            } => Job::template_sweep(
+                cache
+                    .assemble_template(source, slots)
+                    .map_err(failed(None))?,
+                points
+                    .iter()
+                    .map(|point| TemplatePoint {
+                        patches: point.patches.clone(),
+                        seeds: ShotSeeds {
+                            chip: point.chip,
+                            jitter: point.jitter,
+                        },
+                    })
+                    .collect(),
+            ),
+            JobSpec::Opaque { tag, .. } => {
+                return Err(failed(None)(DeviceError::Config(format!(
+                    "opaque '{tag}' jobs are rebuilt by the layer that journaled them"
+                ))))
+            }
+        };
+        Ok(job.with_spec(spec))
     }
 
     /// Submits an experiment and returns a handle typed with its output.
@@ -614,59 +689,9 @@ impl DevicePool {
     /// Rebuilds a runnable [`Job`] from a journaled spec and re-enqueues
     /// it under its original id, resuming past checkpointed points.
     fn requeue(&self, entry: &ReplayedJob) -> Result<RecoveredState, DeviceError> {
-        let mut job = match &entry.spec {
-            JobSpec::Shots {
-                source,
-                shots,
-                plan,
-                chunk,
-            } => {
-                let (program, hit) = self.shared.cache.assemble_keyed(source)?;
-                let mut job = Job::shots(program, *shots).mark_cache_hit(hit);
-                if let Some((chip_base, jitter_base)) = plan {
-                    job = job.with_seed_plan(SeedPlan {
-                        chip_base: *chip_base,
-                        jitter_base: *jitter_base,
-                    });
-                }
-                job.with_chunk_shots(*chunk)
-            }
-            JobSpec::Sweep { points } => {
-                let mut rebuilt = Vec::with_capacity(points.len());
-                for point in points {
-                    let program = self.shared.cache.assemble(&point.source)?;
-                    rebuilt.push((
-                        LoadedProgram::from_arc(program),
-                        ShotSeeds {
-                            chip: point.chip,
-                            jitter: point.jitter,
-                        },
-                    ));
-                }
-                Job::sweep(rebuilt)
-            }
-            JobSpec::TemplateSweep {
-                source,
-                slots,
-                points,
-            } => {
-                let template = self.shared.cache.assemble_template(source, slots)?;
-                let rebuilt = points
-                    .iter()
-                    .map(|point| TemplatePoint {
-                        patches: point.patches.clone(),
-                        seeds: ShotSeeds {
-                            chip: point.chip,
-                            jitter: point.jitter,
-                        },
-                    })
-                    .collect();
-                Job::template_sweep(template, rebuilt)
-            }
-            JobSpec::Opaque { .. } => unreachable!("opaque specs map to NeedsResubmit"),
-        };
-        job = job
-            .with_spec(entry.spec.clone())
+        let mut job = self
+            .job_from_spec(entry.spec.clone())
+            .map_err(|e| e.error)?
             .with_client(entry.client.clone())
             .with_priority(if entry.priority == 1 {
                 Priority::High

@@ -6,12 +6,11 @@
 //! admitted on first use) plus long-lived warm [`Session`]s built from
 //! them. Jobs split by what they may touch:
 //!
-//! * **Shots / Sweep / TemplateSweep** jobs never mutate device
-//!   parameters — every shot reseeds and every run starts with the
-//!   architectural reset — so they run on a *reused* warm session whose
-//!   seed plan and shot counter are rewound per job. That skips even the
-//!   per-job device clone, which is what lets `multi_client` throughput
-//!   stop paying per-job setup.
+//! * **Workload** jobs (shot batches, sweeps, template sweeps) never
+//!   mutate device parameters — every item reseeds and every run starts
+//!   with the architectural reset — so they run on a *reused* warm
+//!   session. That skips even the per-job device clone, which is what
+//!   lets `multi_client` throughput stop paying per-job setup.
 //! * **Experiment** jobs may mutate their device (error injection in
 //!   `Experiment::prepare`, library uploads, noise retuning), so each
 //!   gets a fresh session around a clone of a pristine device; whatever
@@ -19,26 +18,21 @@
 //!   next job.
 //!
 //! Determinism: `Device::new` is a pure function of its config, so a
-//! clone of a pristine device is bit-identical to a fresh build; a
-//! session rewound with [`Session::set_seed_plan`] +
-//! [`Session::reset_shot_counter`] replays exactly like a fresh session
-//! because every shot of the pure job kinds derives its seeds from
-//! `(plan, index)` and reseeds before running. Together that makes every
-//! pooled result bit-identical to a direct single-session run —
-//! regardless of which worker picks the job up, in what order, or how
-//! many workers exist.
+//! clone of a pristine device is bit-identical to a fresh build, and a
+//! reused session runs a [`Workload`] exactly like a fresh one because
+//! every item carries its own seeds and reseeds before running.
+//! Together that makes every pooled result bit-identical to a direct
+//! single-session run — regardless of which worker picks the job up, in
+//! what order, or how many workers exist.
 
-use crate::job::{
-    JobError, JobEvent, JobId, JobKind, JobOutput, Priority, QueuedJob, Resume, ShotChunk,
-};
+use crate::job::{JobError, JobEvent, JobId, JobKind, JobOutput, Priority, QueuedJob, ShotChunk};
 use crate::metrics::JobMetrics;
 use crate::pool::PoolShared;
 use crossbeam::channel;
 use quma_core::prelude::{
-    BatchReport, Device, DeviceConfig, DeviceError, LoadedProgram, RunReport, SeedPlan, Session,
-    SessionTracer,
+    BatchReport, Device, DeviceConfig, DeviceError, Session, SessionTracer, Workload,
 };
-use quma_journal::{Journal, WalRecord};
+use quma_journal::WalRecord;
 use quma_obs::trace::{now_ns, SpanEvent, SpanKind};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -50,8 +44,7 @@ use std::time::Instant;
 /// evicted.
 pub(crate) struct WarmSet {
     devices: Vec<(DeviceConfig, Device)>,
-    /// Reused across Shots/Sweep/TemplateSweep jobs (seed plan and shot
-    /// counter rewound per job). Experiment jobs never touch these.
+    /// Reused across workload jobs. Experiment jobs never touch these.
     sessions: Vec<(DeviceConfig, Session)>,
 }
 
@@ -91,10 +84,9 @@ impl WarmSet {
         Ok(session)
     }
 
-    /// A warm session for `config`, rewound to fresh-session semantics
-    /// (config-default seed plan, shot counter 0). Only for job kinds
-    /// that never mutate device parameters: every shot reseeds and every
-    /// run starts with the architectural reset, so the reused device is
+    /// A warm session for `config`. Only for workload jobs, which never
+    /// mutate device parameters: every item reseeds and every run starts
+    /// with the architectural reset, so the reused device is
     /// bit-indistinguishable from a fresh clone.
     fn warm_session(
         &mut self,
@@ -103,10 +95,7 @@ impl WarmSet {
     ) -> Result<&mut Session, JobError> {
         if let Some(pos) = self.sessions.iter().position(|(c, _)| c == config) {
             shared.metrics.warm_session_reuses.inc();
-            let session = &mut self.sessions[pos].1;
-            session.set_seed_plan(SeedPlan::from_config(config));
-            session.reset_shot_counter();
-            return Ok(session);
+            return Ok(&mut self.sessions[pos].1);
         }
         let session = self.fresh_session(config, shared)?;
         if self.sessions.len() >= WARM_CAP {
@@ -295,57 +284,6 @@ fn journal_err(e: std::io::Error) -> JobError {
     JobError::Device(DeviceError::Config(format!("journal write failed: {e}")))
 }
 
-fn count_executed(shared: &PoolShared, shots: u64) {
-    shared.metrics.executed_shots.add(shots);
-}
-
-/// Runs a sweep's remaining points in checkpoint-sized blocks, making
-/// each block durable (result-log frame + WAL checkpoint) before the
-/// next starts. Per-point reseeding makes block-chunked execution
-/// bit-identical to one whole-sweep call, so resuming at `resume.done`
-/// with the journaled prefix prepended reproduces the uninterrupted
-/// result exactly.
-fn run_checkpointed(
-    shared: &PoolShared,
-    journal: &Journal,
-    id: JobId,
-    total: usize,
-    resume: Option<Resume>,
-    mut run: impl FnMut(std::ops::Range<usize>) -> Result<Vec<RunReport>, JobError>,
-) -> Result<Vec<RunReport>, JobError> {
-    let (skip, mut all) = match resume {
-        Some(r) => ((r.done as usize).min(total), r.prefix),
-        None => (0, Vec::new()),
-    };
-    let block = match journal.checkpoint_every {
-        0 => total.max(1),
-        n => usize::try_from(n).unwrap_or(usize::MAX).max(1),
-    };
-    let mut at = skip;
-    while at < total {
-        let n = block.min(total - at);
-        let reports = run(at..at + n)?;
-        let (offset, len) = journal
-            .append_reports_traced(&reports, id)
-            .map_err(journal_err)?;
-        all.extend(reports);
-        at += n;
-        journal
-            .append_traced(
-                &WalRecord::Checkpoint {
-                    id,
-                    done: at as u64,
-                    offset,
-                    len,
-                },
-                id,
-            )
-            .map_err(journal_err)?;
-        count_executed(shared, n as u64);
-    }
-    Ok(all)
-}
-
 /// The per-job [`SessionTracer`] (shot-batch spans tagged with the
 /// job's trace id and the worker's lane), or `None` on an untraced
 /// pool. Set on *every* session a job runs on — warm sessions are
@@ -365,98 +303,77 @@ fn execute(
     warm: &mut WarmSet,
     events: &channel::Sender<JobEvent>,
     id: JobId,
-    mut job: crate::job::Job,
+    job: crate::job::Job,
 ) -> Result<JobOutput, JobError> {
-    // Sweeps on a journaled pool checkpoint per block; everything else
-    // (and every job on an un-journaled pool) runs exactly as before.
-    let journal = match (&shared.journal, &job.spec) {
-        (Some(journal), Some(_)) => Some(Arc::clone(journal)),
-        _ => None,
-    };
-    let resume = job.resume.take();
     let device_cfg = job.device.as_ref().unwrap_or(&shared.base);
-    match job.kind {
-        JobKind::Shots { program, shots } => {
-            let session = warm.warm_session(device_cfg, shared)?;
-            session.set_tracer(session_tracer(shared, id, worker));
-            if let Some(plan) = job.plan {
-                session.set_seed_plan(plan);
-            }
-            let loaded = LoadedProgram::from_arc(program);
-            let chunk = job.chunk;
-            if chunk == 0 {
-                let batch = session.run_shots(&loaded, shots)?;
-                count_executed(shared, shots);
-                Ok(JobOutput::Batch(batch))
-            } else {
-                // Any nonzero chunk streams — `chunk >= shots` still
-                // emits the one covering chunk a streaming client waits
-                // for; only 0 means "no events, final batch only".
-                // Chunked batches continue the session's seed sequence,
-                // so the concatenation is bit-identical to one
-                // `run_shots(shots)` call.
-                let mut all = Vec::with_capacity(shots as usize);
-                let mut first = 0u64;
-                while first < shots {
-                    let n = chunk.min(shots - first);
-                    let batch = session.run_shots(&loaded, n)?;
-                    let _ = events.send(JobEvent::Chunk(ShotChunk {
-                        first_shot: first,
-                        reports: batch.shots.clone(),
-                    }));
-                    all.extend(batch.shots);
-                    first += n;
-                }
-                count_executed(shared, shots);
-                Ok(JobOutput::Batch(BatchReport { shots: all }))
-            }
-        }
-        JobKind::Sweep { points } => {
-            let session = warm.warm_session(device_cfg, shared)?;
-            session.set_tracer(session_tracer(shared, id, worker));
-            match &journal {
-                Some(journal) => {
-                    let reports =
-                        run_checkpointed(shared, journal, id, points.len(), resume, |range| {
-                            session.run_sweep(&points[range]).map_err(JobError::Device)
-                        })?;
-                    Ok(JobOutput::Reports(reports))
-                }
-                None => {
-                    let total = points.len() as u64;
-                    let reports = session.run_sweep(&points)?;
-                    count_executed(shared, total);
-                    Ok(JobOutput::Reports(reports))
-                }
-            }
-        }
-        JobKind::TemplateSweep { template, points } => {
-            let session = warm.warm_session(device_cfg, shared)?;
-            session.set_tracer(session_tracer(shared, id, worker));
-            let mut loaded = session.load_template(&template);
-            match &journal {
-                Some(journal) => {
-                    let reports =
-                        run_checkpointed(shared, journal, id, points.len(), resume, |range| {
-                            session
-                                .run_template_sweep(&mut loaded, &points[range])
-                                .map_err(JobError::Device)
-                        })?;
-                    Ok(JobOutput::Reports(reports))
-                }
-                None => {
-                    let total = points.len() as u64;
-                    let reports = session.run_template_sweep(&mut loaded, &points)?;
-                    count_executed(shared, total);
-                    Ok(JobOutput::Reports(reports))
-                }
-            }
-        }
+    let work = match job.kind {
+        JobKind::Workload(work) => work,
         JobKind::Experiment(erased) => {
             let mut session = warm.fresh_session(&erased.device_config(), shared)?;
             session.set_tracer(session_tracer(shared, id, worker));
             let output = erased.run_erased(&mut session)?;
-            Ok(JobOutput::Experiment(output))
+            return Ok(JobOutput::Experiment(output));
         }
+    };
+    let session = warm.warm_session(device_cfg, shared)?;
+    session.set_tracer(session_tracer(shared, id, worker));
+    let shots = matches!(work, Workload::Shots { .. });
+    // The items run in blocks: a chunked shot batch (`Job::validate`
+    // admits chunks on shot batches only) streams a chunk per block; a
+    // sweep on a journaled pool makes each block durable (result-log
+    // frame + WAL checkpoint) before the next starts. Every item
+    // reseeds, so blocked execution is bit-identical to one whole run,
+    // and resuming at `resume.done` with the journaled prefix prepended
+    // reproduces the uninterrupted result exactly.
+    let checkpoints = match (&shared.journal, &job.spec) {
+        (Some(journal), Some(_)) if !shots => Some(journal),
+        _ => None,
+    };
+    let total = work.len();
+    let block = match checkpoints {
+        Some(journal) if journal.checkpoint_every > 0 => journal.checkpoint_every,
+        _ if job.chunk > 0 => job.chunk,
+        _ => total as u64,
+    };
+    let block = usize::try_from(block).unwrap_or(usize::MAX).max(1);
+    let (mut at, mut all) = match job.resume {
+        Some(resume) => ((resume.done as usize).min(total), resume.prefix),
+        None => (0, Vec::with_capacity(total)),
+    };
+    while at < total {
+        let items = at..at + block.min(total - at);
+        let reports = session.execute(&work, items.clone(), 1)?;
+        shared.metrics.executed_shots.add(reports.len() as u64);
+        if job.chunk > 0 {
+            // Any nonzero chunk streams — `chunk >= shots` still emits
+            // the one covering chunk a streaming client waits for.
+            let _ = events.send(JobEvent::Chunk(ShotChunk {
+                first_shot: items.start as u64,
+                reports: reports.clone(),
+            }));
+        }
+        if let Some(journal) = checkpoints {
+            let (offset, len) = journal
+                .append_reports_traced(&reports, id)
+                .map_err(journal_err)?;
+            journal
+                .append_traced(
+                    &WalRecord::Checkpoint {
+                        id,
+                        done: items.end as u64,
+                        offset,
+                        len,
+                    },
+                    id,
+                )
+                .map_err(journal_err)?;
+        }
+        all.extend(reports);
+        at = items.end;
     }
+    Ok(if shots {
+        JobOutput::Batch(BatchReport { shots: all })
+    } else {
+        JobOutput::Reports(all)
+    })
 }

@@ -188,9 +188,9 @@ fn pooled_template_sweep_matches_direct_session_sweep() {
         .into_reports()
         .expect("reports output");
     let mut direct = Session::new(base_config()).expect("session");
-    let mut loaded = direct.load_template(&template);
+    let loaded = direct.load_template(&template);
     let want = direct
-        .run_template_sweep(&mut loaded, &points)
+        .run_template_sweep(&loaded, &points)
         .expect("direct sweep");
     assert_reports_eq(&got, &want, "template sweep");
 }

@@ -124,7 +124,15 @@ fn sweep_recovery_is_bit_identical_at_every_kill_point() {
 
     // Direct-session ground truth: the pool + journal must not perturb it.
     let mut direct = Session::new(base_config()).expect("session");
-    let direct_reports = direct.run_sweep(&points).expect("direct sweep");
+    let direct_reports = direct
+        .execute(
+            &Workload::Sweep {
+                points: points.into(),
+            },
+            0..6,
+            1,
+        )
+        .expect("direct sweep");
     assert_reports_eq(&want, &direct_reports, "uninterrupted vs direct");
 
     let wal = std::fs::read(dir.join("wal.qj")).expect("read wal");
@@ -310,5 +318,44 @@ fn recovered_pool_assigns_fresh_ids_past_journaled_ones() {
         max_recovered
     );
     assert!(fresh.wait().is_ok());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn spec_less_workload_jobs_are_rejected_by_a_journaled_pool() {
+    // A shot or sweep job without a spec could not be recovered, so a
+    // journaled pool refuses it at submit instead of running it
+    // un-journaled: nothing is journaled and nothing runs.
+    let dir = temp_dir("spec-less");
+    let pool = journaled_pool(&dir, 0);
+    let program = pool.assemble(SEGMENT).expect("assembles");
+    let template = pool.assemble_template(SEGMENT, &[]).expect("assembles");
+    let seeds = ShotSeeds {
+        chip: 0x51,
+        jitter: 0x52,
+    };
+    let jobs = [
+        Job::shots(program.clone(), 3),
+        Job::sweep(vec![(LoadedProgram::from_arc(program), seeds)]),
+        Job::template_sweep(
+            template,
+            vec![TemplatePoint {
+                patches: Vec::new(),
+                seeds,
+            }],
+        ),
+    ];
+    for job in jobs {
+        match pool.submit(job) {
+            Err(SubmitError::InvalidJob(e)) => {
+                assert!(e.to_string().contains("no JobSpec"), "{e}")
+            }
+            other => panic!("a spec-less job must be rejected, got {other:?}"),
+        }
+    }
+    let stats = pool.shutdown();
+    assert_eq!(stats.submitted, 0);
+    assert_eq!(stats.executed_shots, 0, "nothing runs");
+    assert_eq!(stats.journal_records_written, 0, "nothing is journaled");
     std::fs::remove_dir_all(&dir).ok();
 }

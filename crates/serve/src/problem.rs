@@ -118,6 +118,12 @@ impl ProblemJson {
         p
     }
 
+    /// 408 `request_timeout`: the request's head and body did not
+    /// arrive within the server's per-request deadline.
+    pub fn request_timeout(detail: impl Into<String>) -> Self {
+        Self::new(408, "request_timeout", "request timeout", detail)
+    }
+
     /// 413 `payload_too_large`: the declared body exceeds the limit.
     pub fn payload_too_large(detail: impl Into<String>) -> Self {
         Self::new(413, "payload_too_large", "request body too large", detail)
@@ -202,6 +208,7 @@ mod tests {
         assert_eq!(ProblemJson::not_found("x").status, 404);
         assert_eq!(ProblemJson::state_conflict("x").status, 409);
         assert_eq!(ProblemJson::validation("x").status, 422);
+        assert_eq!(ProblemJson::request_timeout("x").status, 408);
         assert_eq!(ProblemJson::queue_full("x", 1).status, 429);
         assert_eq!(ProblemJson::quota_exhausted("x", 1).status, 429);
     }

@@ -3,12 +3,14 @@
 //!
 //! One acceptor thread hands each connection to its own handler thread;
 //! handlers speak keep-alive HTTP/1.1 with short read timeouts so a
-//! shutdown request drains promptly. All state a handler touches — the
-//! pool, the job registry, the quota ledger, the
-//! serve counters — is shared behind one `Arc`, so the dispatch function
-//! is a pure `Request -> Response` map plus those shared effects.
+//! shutdown request drains promptly, and read each request under one
+//! fixed deadline so a stalled client gets a 408 instead of a hang. All
+//! state a handler touches — the pool, the job registry, the quota
+//! ledger, the serve counters — is shared behind one `Arc`, so the
+//! dispatch function is a pure `Request -> Response` map plus those
+//! shared effects.
 
-use std::io::BufReader;
+use std::io::{BufRead, BufReader, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -219,7 +221,7 @@ impl Server {
         let registry = Registry::new();
         let count = jobs.len() as u64;
         for job in jobs {
-            let kind = recovered_kind(&job.spec);
+            let kind = job.spec.kind();
             let experiment = recovered_experiment(&job.spec);
             let seed = match job.state {
                 RecoveredState::Done(output) => RecoveredSeed::Done {
@@ -341,16 +343,6 @@ impl Drop for Server {
     }
 }
 
-/// The registry kind string for a recovered job's spec.
-fn recovered_kind(spec: &JobSpec) -> &'static str {
-    match spec.kind() {
-        "shots" => "shots",
-        "sweep" => "sweep",
-        "template_sweep" => "template_sweep",
-        _ => "experiment",
-    }
-}
-
 /// The experiment name a recovered opaque job was journaled under.
 fn recovered_experiment(spec: &JobSpec) -> Option<&'static str> {
     match spec {
@@ -411,9 +403,51 @@ fn resubmit_opaque(
     })
 }
 
+/// How long a request may take to arrive once its first byte has: the
+/// head and body are read under this one deadline.
+const REQUEST_DEADLINE: Duration = Duration::from_secs(5);
+
+/// The socket read timeout: how often a waiting handler re-checks the
+/// shutdown flag.
+const SHUTDOWN_POLL: Duration = Duration::from_millis(100);
+
+fn is_timeout(e: &std::io::Error) -> bool {
+    matches!(
+        e.kind(),
+        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+    )
+}
+
+/// A connection's read side. Between requests a read timeout surfaces,
+/// so the handler can poll for shutdown. While a request is being read
+/// (`deadline` set) timeouts are retried, and any read at or past the
+/// deadline, or after shutdown began, fails with `TimedOut` — so a
+/// client trickling bytes is cut off too.
+struct ConnReader<'a> {
+    stream: TcpStream,
+    deadline: Option<Instant>,
+    shutdown: &'a AtomicBool,
+}
+
+impl Read for ConnReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        loop {
+            if let Some(deadline) = self.deadline {
+                if Instant::now() >= deadline || self.shutdown.load(Ordering::SeqCst) {
+                    return Err(std::io::ErrorKind::TimedOut.into());
+                }
+            }
+            match self.stream.read(buf) {
+                Err(e) if is_timeout(&e) && self.deadline.is_some() => {}
+                other => return other,
+            }
+        }
+    }
+}
+
 /// Serves one connection until close, error, or shutdown.
 fn handle_connection(shared: &Shared, stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
+    let _ = stream.set_read_timeout(Some(SHUTDOWN_POLL));
     let _ = stream.set_nodelay(true);
     let mut writer = match stream.try_clone() {
         Ok(w) => w,
@@ -422,23 +456,40 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
     // HTTP spans trace in per-connection lanes, offset past the worker
     // lane ids so the two tiers never share a row in a trace viewer.
     let conn_tid = 10_000 + (shared.conn_seq.fetch_add(1, Ordering::Relaxed) % 40_000) as u32;
-    let mut reader = BufReader::new(stream);
+    let mut reader = BufReader::new(ConnReader {
+        stream,
+        deadline: None,
+        shutdown: &shared.shutdown,
+    });
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
             let problem = ProblemJson::shutting_down();
             let _ = write_response(&mut writer, &problem.into_response(), true);
             return;
         }
+        // Idle until the next request's first byte, polling for shutdown.
+        reader.get_mut().deadline = None;
+        match reader.fill_buf() {
+            Ok([]) => return,
+            Ok(_) => {}
+            Err(e) if is_timeout(&e) => continue,
+            Err(_) => return,
+        }
+        reader.get_mut().deadline = Some(Instant::now() + REQUEST_DEADLINE);
         let request = match read_request(&mut reader, shared.config.max_body_bytes) {
             Ok(request) => request,
             Err(HttpError::Eof) => return,
-            Err(HttpError::Io(e))
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                continue;
+            Err(HttpError::Io(e)) if is_timeout(&e) => {
+                let problem = if shared.shutdown.load(Ordering::SeqCst) {
+                    ProblemJson::shutting_down()
+                } else {
+                    ProblemJson::request_timeout(format!(
+                        "the request did not arrive within {} s",
+                        REQUEST_DEADLINE.as_secs()
+                    ))
+                };
+                let _ = write_response(&mut writer, &problem.into_response(), true);
+                return;
             }
             Err(HttpError::BodyTooLarge { declared, limit }) => {
                 let problem = ProblemJson::payload_too_large(format!(

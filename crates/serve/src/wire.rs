@@ -12,7 +12,7 @@
 use crate::json::Json;
 use crate::problem::ProblemJson;
 use quma_core::prelude::ChipProfile;
-use quma_core::prelude::{BatchReport, RunReport, SeedPlan, ShotSeeds, TemplatePoint};
+use quma_core::prelude::{BatchReport, RunReport, ShotSeeds};
 use quma_experiments::prelude::{
     Allxy, AllxyConfig, AllxyResult, QecConfig, QecInjected, QecResult,
 };
@@ -82,11 +82,11 @@ fn seeds_from(doc: &Json, key: &str) -> Result<ShotSeeds, ProblemJson> {
     })
 }
 
-fn plan_from(obj: &Json) -> Result<SeedPlan, ProblemJson> {
-    Ok(SeedPlan {
-        chip_base: want_u64(obj, "chip_base", None)?,
-        jitter_base: want_u64(obj, "jitter_base", None)?,
-    })
+fn plan_from(obj: &Json) -> Result<(u64, u64), ProblemJson> {
+    Ok((
+        want_u64(obj, "chip_base", None)?,
+        want_u64(obj, "jitter_base", None)?,
+    ))
 }
 
 fn profile_from(doc: &Json, key: &str, default: ChipProfile) -> Result<ChipProfile, ProblemJson> {
@@ -113,11 +113,11 @@ pub(crate) fn parse_submission(doc: &Json, pool: &DevicePool) -> Result<Submissi
             "the job document must be an object",
         ));
     }
-    let high = match doc.get("priority") {
-        None => false,
+    let priority = match doc.get("priority") {
+        None => Priority::Normal,
         Some(v) => match v.as_str() {
-            Some("normal") => false,
-            Some("high") => true,
+            Some("normal") => Priority::Normal,
+            Some("high") => Priority::High,
             _ => {
                 return Err(field_problem(
                     "'priority' must be \"normal\" or \"high\"",
@@ -126,17 +126,11 @@ pub(crate) fn parse_submission(doc: &Json, pool: &DevicePool) -> Result<Submissi
             }
         },
     };
-    let kind = want_str(doc, "kind")?;
-    let Submission {
-        job,
-        kind,
-        experiment,
-        render,
-    } = match kind {
-        "shots" => parse_shots(doc, pool)?,
-        "sweep" => parse_sweep(doc, pool)?,
-        "template_sweep" => parse_template_sweep(doc, pool)?,
-        "experiment" => parse_experiment(doc, pool.journaled())?,
+    let submission = match want_str(doc, "kind")? {
+        "shots" => workload(parse_shots(doc)?, pool)?,
+        "sweep" => workload(parse_sweep(doc)?, pool)?,
+        "template_sweep" => workload(parse_template_sweep(doc)?, pool)?,
+        "experiment" => parse_experiment(doc)?,
         other => {
             return Err(field_problem(
                 format!(
@@ -147,63 +141,53 @@ pub(crate) fn parse_submission(doc: &Json, pool: &DevicePool) -> Result<Submissi
             ))
         }
     };
-    let job = if high { job.high_priority() } else { job };
+    Ok(Submission {
+        job: submission.job.with_priority(priority),
+        ..submission
+    })
+}
+
+/// The submission for a shot, sweep or template-sweep spec. The pool
+/// builds the job; a source it cannot assemble is a 422 naming the
+/// source field (and, for sweeps, the point).
+fn workload(spec: JobSpec, pool: &DevicePool) -> Result<Submission, ProblemJson> {
+    let kind = spec.kind();
+    let job = pool.job_from_spec(spec).map_err(|e| {
+        let what = if kind == "template_sweep" {
+            "template"
+        } else {
+            "assembly"
+        };
+        let problem = ProblemJson::validation(format!("{what} rejected: {}", e.error))
+            .with_context("path", Json::str("source"));
+        match e.point {
+            Some(i) => problem.with_context("point", Json::Int(i as i64)),
+            None => problem,
+        }
+    })?;
     Ok(Submission {
         job,
         kind,
-        experiment,
-        render,
+        experiment: None,
+        render: render_for_kind(kind),
     })
 }
 
-fn assemble_or_422(
-    pool: &DevicePool,
-    source: &str,
-) -> Result<std::sync::Arc<quma_isa::prelude::Program>, ProblemJson> {
-    pool.assemble(source).map_err(|e| {
-        ProblemJson::validation(format!("assembly rejected: {e}"))
-            .with_context("path", Json::str("source"))
-    })
-}
-
-fn parse_shots(doc: &Json, pool: &DevicePool) -> Result<Submission, ProblemJson> {
+fn parse_shots(doc: &Json) -> Result<JobSpec, ProblemJson> {
     let source = want_str(doc, "source")?;
     let shots = want_u64(doc, "shots", None)?;
     if shots == 0 || shots > 1_000_000 {
         return Err(field_problem("'shots' must be in 1..=1000000", "shots"));
     }
-    let program = assemble_or_422(pool, source)?;
-    let mut job = Job::shots(program, shots);
-    let mut spec_plan = None;
-    if let Some(plan) = doc.get("seed_plan") {
-        let plan = plan_from(plan)?;
-        spec_plan = Some((plan.chip_base, plan.jitter_base));
-        job = job.with_seed_plan(plan);
-    }
-    let chunk = want_u64(doc, "chunk_shots", Some(0))?;
-    if chunk > 0 {
-        job = job.with_chunk_shots(chunk);
-    }
-    if pool.journaled() {
-        job = job.with_spec(JobSpec::Shots {
-            source: source.to_string(),
-            shots,
-            plan: spec_plan,
-            chunk,
-        });
-    }
-    Ok(Submission {
-        job,
-        kind: "shots",
-        experiment: None,
-        render: Box::new(|out| match out {
-            JobOutput::Batch(batch) => encode_batch(&batch),
-            other => render_mismatch("batch", &other),
-        }),
+    Ok(JobSpec::Shots {
+        source: source.to_string(),
+        shots,
+        plan: doc.get("seed_plan").map(plan_from).transpose()?,
+        chunk: want_u64(doc, "chunk_shots", Some(0))?,
     })
 }
 
-fn parse_sweep(doc: &Json, pool: &DevicePool) -> Result<Submission, ProblemJson> {
+fn parse_sweep(doc: &Json) -> Result<JobSpec, ProblemJson> {
     let points = doc
         .get("points")
         .and_then(Json::as_arr)
@@ -214,42 +198,23 @@ fn parse_sweep(doc: &Json, pool: &DevicePool) -> Result<Submission, ProblemJson>
             "points",
         ));
     }
-    let mut prepared = Vec::with_capacity(points.len());
-    let mut spec_points = Vec::new();
+    let mut spec_points = Vec::with_capacity(points.len());
     for (i, point) in points.iter().enumerate() {
-        let source =
-            want_str(point, "source").map_err(|p| p.with_context("point", Json::Int(i as i64)))?;
-        let seeds =
-            seeds_from(point, "seeds").map_err(|p| p.with_context("point", Json::Int(i as i64)))?;
-        let program = assemble_or_422(pool, source)
-            .map_err(|p| p.with_context("point", Json::Int(i as i64)))?;
-        if pool.journaled() {
-            spec_points.push(SweepPointSpec {
-                source: source.to_string(),
-                chip: seeds.chip,
-                jitter: seeds.jitter,
-            });
-        }
-        prepared.push((quma_core::prelude::LoadedProgram::from_arc(program), seeds));
-    }
-    let mut job = Job::sweep(prepared);
-    if pool.journaled() {
-        job = job.with_spec(JobSpec::Sweep {
-            points: spec_points,
+        let at = |p: ProblemJson| p.with_context("point", Json::Int(i as i64));
+        let source = want_str(point, "source").map_err(at)?;
+        let seeds = seeds_from(point, "seeds").map_err(at)?;
+        spec_points.push(SweepPointSpec {
+            source: source.to_string(),
+            chip: seeds.chip,
+            jitter: seeds.jitter,
         });
     }
-    Ok(Submission {
-        job,
-        kind: "sweep",
-        experiment: None,
-        render: Box::new(|out| match out {
-            JobOutput::Reports(reports) => encode_reports(&reports),
-            other => render_mismatch("reports", &other),
-        }),
+    Ok(JobSpec::Sweep {
+        points: spec_points,
     })
 }
 
-fn parse_template_sweep(doc: &Json, pool: &DevicePool) -> Result<Submission, ProblemJson> {
+fn parse_template_sweep(doc: &Json) -> Result<JobSpec, ProblemJson> {
     let source = want_str(doc, "source")?;
     let slots_doc = doc
         .get("slots")
@@ -279,10 +244,6 @@ fn parse_template_sweep(doc: &Json, pool: &DevicePool) -> Result<Submission, Pro
         };
         slots.push(SlotSpec::new(name, insn as u32, field));
     }
-    let template = pool.assemble_template(source, &slots).map_err(|e| {
-        ProblemJson::validation(format!("template rejected: {e}"))
-            .with_context("path", Json::str("source"))
-    })?;
     let points_doc = doc
         .get("points")
         .and_then(Json::as_arr)
@@ -312,50 +273,29 @@ fn parse_template_sweep(doc: &Json, pool: &DevicePool) -> Result<Submission, Pro
                     .with_context("point", Json::Int(i as i64)))
             }
         };
-        points.push(TemplatePoint { patches, seeds });
+        points.push(TemplatePointSpec {
+            patches,
+            chip: seeds.chip,
+            jitter: seeds.jitter,
+        });
     }
-    let job = if pool.journaled() {
-        let spec = JobSpec::TemplateSweep {
-            source: source.to_string(),
-            slots,
-            points: points
-                .iter()
-                .map(|p| TemplatePointSpec {
-                    patches: p.patches.clone(),
-                    chip: p.seeds.chip,
-                    jitter: p.seeds.jitter,
-                })
-                .collect(),
-        };
-        Job::template_sweep(template, points).with_spec(spec)
-    } else {
-        Job::template_sweep(template, points)
-    };
-    Ok(Submission {
-        job,
-        kind: "template_sweep",
-        experiment: None,
-        render: Box::new(|out| match out {
-            JobOutput::Reports(reports) => encode_reports(&reports),
-            other => render_mismatch("reports", &other),
-        }),
+    Ok(JobSpec::TemplateSweep {
+        source: source.to_string(),
+        slots,
+        points,
     })
 }
 
-fn parse_experiment(doc: &Json, journaled: bool) -> Result<Submission, ProblemJson> {
+fn parse_experiment(doc: &Json) -> Result<Submission, ProblemJson> {
     let name = want_str(doc, "experiment")?;
     // Experiment configs are typed per experiment, so the journal gets
     // the whole submission document as an opaque payload; recovery hands
     // it back to `parse_submission` to rebuild the job.
-    let spec = |tag: &str| {
-        journaled.then(|| JobSpec::Opaque {
+    let with_spec = |job: Job, tag: &str| {
+        job.with_spec(JobSpec::Opaque {
             tag: tag.to_string(),
             payload: doc.encode().into_bytes(),
         })
-    };
-    let with_spec = |job: Job, tag: &str| match spec(tag) {
-        Some(spec) => job.with_spec(spec),
-        None => job,
     };
     let cfg = doc.get("config").cloned().unwrap_or(Json::Obj(Vec::new()));
     match name {
@@ -427,10 +367,10 @@ fn parse_experiment(doc: &Json, journaled: bool) -> Result<Submission, ProblemJs
     }
 }
 
-/// The render closure recovery installs for a resumed (or
-/// journal-served) job of `kind` — the same encodings
-/// [`parse_submission`] installs at first submission, so a result served
-/// after a restart is byte-identical to the one served before it.
+/// The render closure for a shot, sweep or template-sweep job of
+/// `kind`, installed both at submission and by recovery for a resumed
+/// (or journal-served) job — so a result served after a restart is
+/// byte-identical to the one served before it.
 pub(crate) fn render_for_kind(kind: &str) -> Box<dyn FnOnce(JobOutput) -> Json + Send> {
     match kind {
         "shots" => Box::new(|out| match out {

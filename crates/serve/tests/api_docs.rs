@@ -67,6 +67,7 @@ fn docs_name_every_problem_code_the_server_emits() {
         "method_not_allowed",
         "state_conflict",
         "payload_too_large",
+        "request_timeout",
         "validation_error",
         "queue_full",
         "quota_exhausted",

@@ -3,7 +3,9 @@
 //! chunks, typed cancellation, and — the contract the crate exists for —
 //! bit-identity of served results against direct `Session` runs.
 
-use std::time::Duration;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 use quma_core::prelude::*;
 use quma_experiments::prelude::*;
@@ -506,4 +508,172 @@ fn metrics_and_version_headers_are_served() {
         .unwrap()
         .starts_with("text/plain"));
     server.shutdown();
+}
+
+/// The 422 problem documents for sources the pool cannot assemble,
+/// pinned byte for byte: a shot batch's `source`, sweep point `i`'s
+/// source, and a template sweep's `source`.
+#[test]
+fn unassemblable_sources_get_pinned_422_documents() {
+    let server = serve(1, ServerConfig::new());
+    let mut client = MiniClient::connect(server.local_addr(), "pins");
+    let seeds = || Json::obj([("chip", Json::Int(1)), ("jitter", Json::Int(2))]);
+    let bad = "Frobnicate q0\n";
+    let shots = Json::obj([
+        ("kind", Json::str("shots")),
+        ("source", Json::str(bad)),
+        ("shots", Json::Int(1)),
+    ]);
+    let sweep = Json::obj([
+        ("kind", Json::str("sweep")),
+        (
+            "points",
+            Json::Arr(
+                [SEGMENT, SEGMENT, bad]
+                    .into_iter()
+                    .map(|source| Json::obj([("source", Json::str(source)), ("seeds", seeds())]))
+                    .collect(),
+            ),
+        ),
+    ]);
+    let template = Json::obj([
+        ("kind", Json::str("template_sweep")),
+        ("source", Json::str(bad)),
+        (
+            "slots",
+            Json::Arr(vec![Json::obj([
+                ("name", Json::str("tau")),
+                ("instruction", Json::Int(0)),
+                ("field", Json::str("wait_interval")),
+            ])]),
+        ),
+        (
+            "points",
+            Json::Arr(vec![Json::obj([
+                ("patches", Json::obj([("tau", Json::Int(8))])),
+                ("seeds", seeds()),
+            ])]),
+        ),
+    ]);
+    let problem = |detail: &str, context: &str| {
+        format!(
+            "{{\"type\":\"about:blank\",\"title\":\"invalid request content\",\
+             \"status\":422,\"code\":\"validation_error\",\"detail\":\"{detail}: \
+             assembly failed: line 1: unknown mnemonic 'Frobnicate'\",\"context\":{context}}}"
+        )
+    };
+    for (doc, want) in [
+        (shots, problem("assembly rejected", r#"{"path":"source"}"#)),
+        (
+            sweep,
+            problem("assembly rejected", r#"{"path":"source","point":2}"#),
+        ),
+        (
+            template,
+            problem("template rejected", r#"{"path":"source"}"#),
+        ),
+    ] {
+        let response = client.post_json("/jobs", &doc).unwrap();
+        assert_eq!(response.status, 422);
+        assert_eq!(
+            response.header("content-type"),
+            Some("application/problem+json")
+        );
+        assert_eq!(response.text(), want);
+    }
+    server.shutdown();
+}
+
+/// Opens a raw connection and writes a `POST /jobs` head declaring
+/// `body`'s full length, followed by only its first `sent` bytes.
+fn raw_post(server: &Server, body: &[u8], sent: usize) -> TcpStream {
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    write!(
+        stream,
+        "POST /jobs HTTP/1.1\r\nhost: test\r\ncontent-length: {}\r\n\r\n",
+        body.len()
+    )
+    .unwrap();
+    stream.write_all(&body[..sent]).unwrap();
+    stream
+}
+
+#[test]
+fn a_body_arriving_after_its_head_is_still_served() {
+    let server = serve(1, ServerConfig::new());
+    let body = shots_doc(1).encode().into_bytes();
+    let mut stream = raw_post(&server, &body, 0);
+    std::thread::sleep(Duration::from_millis(300));
+    stream.write_all(&body).unwrap();
+    let mut status = String::new();
+    BufReader::new(&mut stream).read_line(&mut status).unwrap();
+    assert!(status.starts_with("HTTP/1.1 201"), "{status}");
+    server.shutdown();
+}
+
+#[test]
+fn a_stalled_or_trickled_body_gets_408_and_the_connection_closes() {
+    let server = serve(1, ServerConfig::new());
+    let body = shots_doc(1).encode().into_bytes();
+    let mut stalled = raw_post(&server, &body, body.len() / 2);
+    // A second client keeps bytes flowing faster than the socket's poll
+    // timeout, so only the request deadline itself can cut it off.
+    let started = Instant::now();
+    let mut trickled = raw_post(&server, &[b' '; 100_000], 0);
+    let mut writer = trickled.try_clone().unwrap();
+    let trickle = std::thread::spawn(move || {
+        // Bounded, so a server that never cuts it off fails the timing
+        // assertion below instead of hanging the test.
+        for _ in 0..500 {
+            if writer.write_all(b" ").is_err() {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+    });
+    // Reading to the end proves the server closed the connection.
+    let mut response = String::new();
+    stalled.read_to_string(&mut response).unwrap();
+    assert!(response.starts_with("HTTP/1.1 408"), "{response}");
+    assert!(
+        response.contains("\"code\":\"request_timeout\""),
+        "{response}"
+    );
+    // The trickled connection still has bytes in flight when the server
+    // closes it, so read only the status line.
+    let mut status = String::new();
+    BufReader::new(&mut trickled)
+        .read_line(&mut status)
+        .unwrap();
+    assert!(status.starts_with("HTTP/1.1 408"), "{status}");
+    assert!(
+        started.elapsed() < Duration::from_secs(8),
+        "the trickle was cut off only after {:?}",
+        started.elapsed()
+    );
+    trickled.shutdown(std::net::Shutdown::Both).ok();
+    trickle.join().unwrap();
+    server.shutdown();
+}
+
+#[test]
+fn shutdown_returns_while_a_client_is_stalled_mid_body() {
+    let server = serve(1, ServerConfig::new());
+    let body = shots_doc(1).encode().into_bytes();
+    let mut stream = raw_post(&server, &body, body.len() / 2);
+    // Let the handler start reading the body before shutting down.
+    std::thread::sleep(Duration::from_millis(300));
+    let started = Instant::now();
+    server.shutdown();
+    assert!(
+        started.elapsed() < Duration::from_secs(2),
+        "shutdown waited {:?} on a stalled client",
+        started.elapsed()
+    );
+    let mut response = String::new();
+    stream.read_to_string(&mut response).unwrap();
+    assert!(response.starts_with("HTTP/1.1 503"), "{response}");
 }

@@ -117,16 +117,15 @@ fn parallel_batch_is_bit_identical_to_sequential() {
     // A second session so the parallel run starts from the same pristine
     // device state (and shot counter) the sequential batch saw.
     let mut session = Session::new(batch_config()).expect("session");
-    let parallel = session
-        .run_shots_parallel(&loaded, 8, 4)
-        .expect("parallel batch");
+    let work = Workload::Shots {
+        program: loaded,
+        plan: Some(session.seed_plan()),
+        first: 0,
+        count: 8,
+    };
+    let parallel = session.execute(&work, 0..8, 4).expect("parallel batch");
     assert_eq!(sequential.len(), parallel.len());
-    for (i, (a, b)) in sequential
-        .shots
-        .iter()
-        .zip(parallel.shots.iter())
-        .enumerate()
-    {
+    for (i, (a, b)) in sequential.shots.iter().zip(parallel.iter()).enumerate() {
         assert_eq!(
             shot_signature(a),
             shot_signature(b),

@@ -3,7 +3,7 @@
 //! deterministically, sequentially and in parallel.
 
 use quma::compiler::prelude::{InjectedX, RepetitionCode};
-use quma::core::prelude::{ChipProfile, Session};
+use quma::core::prelude::{ChipProfile, Session, Workload};
 use quma::experiments::prelude::{run_qec, run_qec_injected, QecConfig};
 
 fn base() -> QecConfig {
@@ -72,10 +72,14 @@ fn parallel_registers_match_sequential_bit_for_bit() {
     let loaded = seq.load(&program);
     let a = seq.run_shots(&loaded, 6).expect("sequential batch");
     let mut par = Session::new(dev_cfg).expect("config valid");
-    let b = par
-        .run_shots_parallel(&loaded, 6, 3)
-        .expect("parallel batch");
-    for (i, (x, y)) in a.shots.iter().zip(b.shots.iter()).enumerate() {
+    let work = Workload::Shots {
+        program: loaded,
+        plan: Some(par.seed_plan()),
+        first: 0,
+        count: 6,
+    };
+    let b = par.execute(&work, 0..6, 3).expect("parallel batch");
+    for (i, (x, y)) in a.shots.iter().zip(b.iter()).enumerate() {
         assert_eq!(x.registers, y.registers, "shot {i}");
         assert_eq!(x.md_results, y.md_results, "shot {i}");
     }

@@ -7,7 +7,7 @@
 //! for the exact chip at distance ≤ 5.
 
 use quma::compiler::prelude::{InjectedX, RepetitionCode};
-use quma::core::prelude::{ChipProfile, Session};
+use quma::core::prelude::{ChipProfile, Session, Workload};
 use quma::experiments::prelude::{run_qec_injected, QecConfig, QecInjected};
 use quma::experiments::qec::device_config;
 use quma::pool::prelude::{DevicePool, Job, PoolConfig};
@@ -85,9 +85,13 @@ fn stabilizer_sequential_parallel_and_pooled_agree_bit_for_bit() {
     let loaded = seq.load(&program);
     let a = seq.run_shots(&loaded, 6).expect("sequential batch");
     let mut par = Session::new(dev_cfg.clone()).expect("config valid");
-    let b = par
-        .run_shots_parallel(&loaded, 6, 3)
-        .expect("parallel batch");
+    let work = Workload::Shots {
+        program: loaded,
+        plan: Some(par.seed_plan()),
+        first: 0,
+        count: 6,
+    };
+    let b = par.execute(&work, 0..6, 3).expect("parallel batch");
     let pool = DevicePool::new(PoolConfig::new(dev_cfg).with_workers(1)).expect("pool");
     let pooled = pool
         .submit(Job::shots(program, 6))
@@ -99,7 +103,7 @@ fn stabilizer_sequential_parallel_and_pooled_agree_bit_for_bit() {
     for (i, ((x, y), z)) in a
         .shots
         .iter()
-        .zip(b.shots.iter())
+        .zip(b.iter())
         .zip(pooled.shots.iter())
         .enumerate()
     {

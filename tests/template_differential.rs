@@ -4,7 +4,7 @@
 //! patching per point beats re-compiling per point by a wide margin.
 
 use quma::compiler::prelude::Bindings;
-use quma::core::prelude::{LoadedProgram, RunReport, Session, ShotSeeds, TemplatePoint};
+use quma::core::prelude::{LoadedProgram, RunReport, Session, ShotSeeds, TemplatePoint, Workload};
 use quma::experiments::fit::{fit_damped_cosine, fit_exponential_decay};
 use quma::experiments::prelude::{ones_fraction, Experiment, Ramsey, RamseyConfig, T1Config, T1};
 
@@ -40,7 +40,15 @@ fn sweep_three_ways<E: Experiment>(
             (session.load(&compiled), plan.shot(i as u64))
         })
         .collect();
-    let compiled_reports = session.run_sweep(&per_point).expect("per-point sweep");
+    let compiled_reports = session
+        .execute(
+            &Workload::Sweep {
+                points: per_point.into(),
+            },
+            0..delays.len(),
+            1,
+        )
+        .expect("per-point sweep");
 
     // (b) compile once, patch per point.
     let template = program.compile_template(&gates, &ccfg).expect("template");
@@ -53,12 +61,16 @@ fn sweep_three_ways<E: Experiment>(
         })
         .collect();
     let mut session = Session::new(exp.device_config(cfg)).expect("session");
-    let mut loaded = session.load_template(&template);
+    let loaded = session.load_template(&template);
     let sequential = session
-        .run_template_sweep(&mut loaded, &points)
+        .run_template_sweep(&loaded, &points)
         .expect("template sweep");
     let parallel = session
-        .run_template_sweep_parallel(&loaded, &points, 3)
+        .execute(
+            &Workload::template_sweep(&loaded, points.into()),
+            0..delays.len(),
+            3,
+        )
         .expect("parallel template sweep");
     (compiled_reports, sequential, parallel)
 }
