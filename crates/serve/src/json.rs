@@ -57,6 +57,12 @@ impl Json {
         Json::Str(s.into())
     }
 
+    /// Builds an integer value from an unsigned count, saturating at
+    /// `i64::MAX`.
+    pub fn uint(n: u64) -> Json {
+        Json::Int(i64::try_from(n).unwrap_or(i64::MAX))
+    }
+
     /// Looks a key up in an object (`None` for other kinds).
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {

@@ -17,7 +17,10 @@
 //! | `GET` | `/metrics` | pool/journal/serve metrics (JSON or Prometheus text) |
 //! | `GET` | `/trace` | trace ring export as Chrome trace-event JSON |
 //!
-//! Errors are RFC-7807-style problem documents
+//! Each route parses its request, calls one job service (which owns the
+//! pool, the quota ledger and the job records), and renders the result.
+//! The service fails with a typed error, and one `From` impl maps every
+//! such error to an RFC-7807-style problem document
 //! ([`problem::ProblemJson`]): stable `code` strings, 409 for lifecycle
 //! conflicts, 404 for unknown ids, and 429 with `Retry-After` both for
 //! the pool's queue backpressure and for per-client token-bucket quotas
@@ -58,9 +61,9 @@ pub mod http;
 pub mod json;
 pub mod problem;
 pub mod quota;
-mod registry;
 pub mod router;
 pub mod server;
+mod service;
 mod wire;
 
 pub use client::{MiniClient, MiniResponse};

@@ -5,10 +5,18 @@
 //! The shape mirrors the lifecycle-route idiom the roadmap points at
 //! (`make_problem` envelopes with `error_code` + `context`), translated
 //! to Rust: one constructor per error family, each fixing the status
-//! code and `code` string, so handlers cannot mismatch them.
+//! code and `code` string, so handlers cannot mismatch them. The job
+//! service's typed failures become problems in one table, the
+//! `From<ServiceError>` impl at the end of this module.
 
 use crate::http::{reason_phrase, Response};
 use crate::json::Json;
+use crate::service::ServiceError;
+use crate::wire::FieldError;
+use quma_pool::prelude::SubmitError;
+
+/// Seconds a client should wait after a `queue_full` rejection.
+const QUEUE_RETRY_AFTER_SECS: u64 = 1;
 
 /// An RFC-7807-style problem document.
 ///
@@ -169,10 +177,7 @@ impl ProblemJson {
             pairs.push(("context".to_string(), Json::Obj(self.context.clone())));
         }
         if let Some(secs) = self.retry_after {
-            pairs.push((
-                "retry_after_seconds".to_string(),
-                Json::Int(secs.min(i64::MAX as u64) as i64),
-            ));
+            pairs.push(("retry_after_seconds".to_string(), Json::uint(secs)));
         }
         Json::Obj(pairs)
     }
@@ -196,6 +201,74 @@ impl ProblemJson {
         }
         debug_assert!(!reason_phrase(self.status).is_empty());
         response
+    }
+}
+
+/// The one error→problem table: every lifecycle and submit failure the
+/// job service reports becomes its problem document here.
+impl From<ServiceError> for ProblemJson {
+    fn from(error: ServiceError) -> Self {
+        let conflict = |detail: String, phase: &str| {
+            ProblemJson::state_conflict(detail).with_context("phase", Json::str(phase))
+        };
+        match error {
+            ServiceError::UnknownJob(id) => ProblemJson::not_found(format!("no job with id {id}"))
+                .with_context("id", Json::uint(id)),
+            ServiceError::NotFinished { id, phase } => conflict(
+                format!(
+                    "job {id} has not finished; poll GET /jobs/{id} until its phase is \
+                     \"finished\""
+                ),
+                phase,
+            ),
+            ServiceError::NoResult(id) => conflict(
+                format!("job {id} was cancelled while queued; it has no result"),
+                "cancelled",
+            ),
+            ServiceError::AlreadyCancelled(id) => conflict(
+                format!("job {id} is already cancelled; nothing left to cancel"),
+                "cancelled",
+            ),
+            ServiceError::AlreadyRunning(id) => conflict(
+                format!("job {id} is already running; only queued jobs can be cancelled"),
+                "running",
+            ),
+            ServiceError::AlreadyFinished { id, phase } => conflict(
+                format!("job {id} already finished; nothing to cancel"),
+                phase,
+            ),
+            ServiceError::JobFailed { id, detail } => {
+                ProblemJson::new(500, "job_failed", "job execution failed", detail)
+                    .with_context("id", Json::uint(id))
+            }
+            ServiceError::QuotaExhausted {
+                client,
+                retry_after,
+            } => ProblemJson::quota_exhausted(
+                format!("client '{client}' has spent its submission quota"),
+                retry_after,
+            )
+            .with_context("client", Json::str(client)),
+            ServiceError::NotUtf8 => ProblemJson::bad_request("request body is not UTF-8"),
+            ServiceError::NotJson(e) => {
+                ProblemJson::bad_request(format!("body is not valid JSON: {e}"))
+            }
+            ServiceError::Invalid(FieldError { detail, context }) => ProblemJson {
+                context,
+                ..ProblemJson::validation(detail)
+            },
+            ServiceError::Rejected(SubmitError::QueueFull { priority, depth }) => {
+                ProblemJson::queue_full(
+                    format!("the {priority:?}-priority queue is at its bound of {depth}"),
+                    QUEUE_RETRY_AFTER_SECS,
+                )
+                .with_context("depth", Json::uint(depth as u64))
+            }
+            ServiceError::Rejected(SubmitError::ShutDown) => ProblemJson::shutting_down(),
+            ServiceError::Rejected(SubmitError::InvalidJob(e)) => {
+                ProblemJson::validation(format!("job rejected at submit: {e}"))
+            }
+        }
     }
 }
 

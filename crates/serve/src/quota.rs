@@ -105,30 +105,25 @@ impl QuotaLedger {
     /// refill deterministically through this).
     pub fn admit_at(&self, client: &str, now: Instant) -> Result<(), u64> {
         let mut buckets = self.buckets.lock().expect("quota ledger poisoned");
+        let burst = f64::from(self.quota.burst);
         if buckets.len() >= MAX_TRACKED_CLIENTS && !buckets.contains_key(client) {
-            // Evict one full (i.e. fully refilled, idle) bucket; if every
-            // bucket is mid-spend the table is genuinely hot and we keep
-            // tracking — the cap is a memory bound, not a correctness one.
+            // Evict one bucket that is full by now (i.e. fully refilled,
+            // idle); if every bucket is mid-spend the table is genuinely
+            // hot and we keep tracking — the cap is a memory bound, not a
+            // correctness one.
             let full = buckets
                 .iter()
-                .find(|(_, b)| b.tokens >= f64::from(self.quota.burst))
+                .find(|(_, b)| self.refilled(b, now) >= burst)
                 .map(|(k, _)| k.clone());
             if let Some(key) = full {
                 buckets.remove(&key);
             }
         }
         let bucket = buckets.entry(client.to_string()).or_insert(Bucket {
-            tokens: f64::from(self.quota.burst),
+            tokens: burst,
             refilled_at: now,
         });
-        // Refill for the time elapsed since the last touch, capped at
-        // the burst. `saturating_duration_since` tolerates test clocks
-        // that step backwards.
-        let elapsed = now
-            .saturating_duration_since(bucket.refilled_at)
-            .as_secs_f64();
-        bucket.tokens =
-            (bucket.tokens + elapsed * self.quota.per_second).min(f64::from(self.quota.burst));
+        bucket.tokens = self.refilled(bucket, now);
         bucket.refilled_at = now;
         if bucket.tokens >= 1.0 {
             bucket.tokens -= 1.0;
@@ -138,6 +133,16 @@ impl QuotaLedger {
             let secs = (deficit / self.quota.per_second).ceil().max(1.0);
             Err(secs as u64)
         }
+    }
+
+    /// A bucket's tokens at `now`: refilled for the time elapsed since its
+    /// last touch, capped at the burst. `saturating_duration_since`
+    /// tolerates test clocks that step backwards.
+    fn refilled(&self, bucket: &Bucket, now: Instant) -> f64 {
+        let elapsed = now
+            .saturating_duration_since(bucket.refilled_at)
+            .as_secs_f64();
+        (bucket.tokens + elapsed * self.quota.per_second).min(f64::from(self.quota.burst))
     }
 
     /// Distinct clients currently tracked.
@@ -185,6 +190,23 @@ mod tests {
         assert!(ledger.admit_at("a", t0).is_err());
         assert!(ledger.admit_at("b", t0).is_ok());
         assert_eq!(ledger.tracked_clients(), 2);
+    }
+
+    #[test]
+    fn departed_clients_are_evicted_once_refilled() {
+        let ledger = Quota::new().with_burst(2).with_per_second(1.0).ledger();
+        let t0 = Instant::now();
+        for i in 0..MAX_TRACKED_CLIENTS {
+            assert!(ledger.admit_at(&format!("once-{i}"), t0).is_ok());
+        }
+        // An hour later every bucket has long since refilled, so each
+        // newcomer displaces a departed client instead of growing the
+        // table.
+        let t1 = t0 + Duration::from_secs(3600);
+        for i in 0..1000 {
+            assert!(ledger.admit_at(&format!("new-{i}"), t1).is_ok());
+        }
+        assert!(ledger.tracked_clients() <= MAX_TRACKED_CLIENTS);
     }
 
     #[test]

@@ -4,11 +4,11 @@
 //! One acceptor thread hands each connection to its own handler thread;
 //! handlers speak keep-alive HTTP/1.1 with short read timeouts so a
 //! shutdown request drains promptly, and read each request under one
-//! fixed deadline so a stalled client gets a 408 instead of a hang. All
-//! state a handler touches — the pool, the job registry, the quota
-//! ledger, the serve counters — is shared behind one `Arc`, so the
-//! dispatch function is a pure `Request -> Response` map plus those
-//! shared effects.
+//! fixed deadline so a stalled client gets a 408 instead of a hang.
+//! Each job route parses its request, calls the one job service (which
+//! owns the pool, the quota ledger and the job records), and renders
+//! the document or the service's typed error. This module keeps only
+//! the transport: connections, deadlines, metrics and trace spans.
 
 use std::io::{BufRead, BufReader, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -20,14 +20,13 @@ use std::time::{Duration, Instant};
 use crate::http::{read_request, write_response, HttpError, Request, Response};
 use crate::json::Json;
 use crate::problem::ProblemJson;
-use crate::quota::{Quota, QuotaLedger};
-use crate::registry::{RecoveredSeed, Registry};
+use crate::quota::Quota;
 use crate::router::{route, RouteMatch, ROUTES};
-use crate::wire;
+use crate::service::{JobService, ServiceError};
 use quma_obs::trace::{now_ns, SpanEvent, SpanKind, TraceBuffer};
 use quma_obs::{Counter, Gauge, Histogram, HistogramSnapshot, Registry as MetricRegistry};
-use quma_pool::prelude::{JobId, JobOutput, ShotChunk, SubmitError};
-use quma_pool::{DevicePool, JobSpec, RecoveredPool, RecoveredState};
+use quma_pool::prelude::JobId;
+use quma_pool::{DevicePool, RecoveredPool};
 
 /// The API version every response announces in `x-quma-api-version`.
 pub const API_VERSION: u32 = 1;
@@ -49,18 +48,15 @@ pub struct ServerConfig {
     pub max_body_bytes: usize,
     /// Per-client submission quota; `None` disables quota enforcement.
     pub quota: Option<Quota>,
-    /// Seconds a client should wait after a `queue_full` rejection.
-    pub queue_retry_after: u64,
 }
 
 impl ServerConfig {
-    /// Defaults: 1 MiB bodies, the default [`Quota`], retry after 1 s.
+    /// Defaults: 1 MiB bodies and the default [`Quota`].
     #[allow(clippy::new_without_default)]
     pub fn new() -> Self {
         Self {
             max_body_bytes: 1024 * 1024,
             quota: Some(Quota::new()),
-            queue_retry_after: 1,
         }
     }
 
@@ -98,7 +94,7 @@ struct ServeMetrics {
     /// Jobs restored from the journal at startup
     /// (`Server::start_recovered`).
     recovered_jobs: Counter,
-    /// Jobs currently tracked by the registry (set at scrape time).
+    /// Jobs currently tracked by the job service (set at scrape time).
     jobs_tracked: Gauge,
     /// Responses by status class, indexed `[2xx, 3xx, 4xx, 5xx]`.
     responses: [Counter; 4],
@@ -167,15 +163,13 @@ impl ServeMetrics {
 }
 
 struct Shared {
-    pool: DevicePool,
-    registry: Registry,
+    service: JobService,
     /// The unified metric registry (pool + journal + serve families).
     obs: MetricRegistry,
     /// The span-trace ring buffer, when the pool was built with
     /// `PoolConfig::with_trace`.
     trace: Option<TraceBuffer>,
     metrics: ServeMetrics,
-    ledger: Option<QuotaLedger>,
     config: ServerConfig,
     shutdown: AtomicBool,
     /// When the server started (drives `uptime_ms`).
@@ -201,11 +195,11 @@ pub struct Server {
 impl Server {
     /// Binds `127.0.0.1:0` (an OS-chosen port) and starts serving `pool`.
     pub fn start(pool: DevicePool, config: ServerConfig) -> std::io::Result<Server> {
-        Self::start_inner(pool, Registry::new(), 0, config)
+        Self::start_inner(JobService::new(pool, config.quota), 0, config)
     }
 
     /// Starts a server over a pool rebuilt by
-    /// [`DevicePool::recover`], pre-populating the job registry so the
+    /// [`DevicePool::recover`], pre-populating the job service so the
     /// lifecycle routes survive the restart: `GET /jobs/{id}` answers
     /// for every journaled job under its *original* id, finished results
     /// are served from the result log byte-identically to the
@@ -217,55 +211,27 @@ impl Server {
         recovered: RecoveredPool,
         config: ServerConfig,
     ) -> std::io::Result<Server> {
-        let RecoveredPool { pool, jobs } = recovered;
-        let registry = Registry::new();
-        let count = jobs.len() as u64;
-        for job in jobs {
-            let kind = job.spec.kind();
-            let experiment = recovered_experiment(&job.spec);
-            let seed = match job.state {
-                RecoveredState::Done(output) => RecoveredSeed::Done {
-                    chunks: recovered_chunks(&job.spec, &output),
-                    result: wire::render_for_kind(kind)(output),
-                },
-                RecoveredState::Resumed(handle) => RecoveredSeed::Live {
-                    handle,
-                    render: wire::render_for_kind(kind),
-                },
-                RecoveredState::Cancelled => RecoveredSeed::Cancelled,
-                RecoveredState::Failed(detail) => RecoveredSeed::Failed(detail),
-                RecoveredState::NeedsResubmit { payload, .. } => {
-                    match resubmit_opaque(&pool, job.id, &payload, &job.client) {
-                        Ok(seed) => seed,
-                        Err(detail) => RecoveredSeed::Failed(detail),
-                    }
-                }
-            };
-            registry.insert_recovered(job.id, kind, experiment, job.client, seed);
-        }
-        let server = Self::start_inner(pool, registry, count, config)?;
-        Ok(server)
+        let service = JobService::recover(recovered, config.quota);
+        let recovered_jobs = service.len() as u64;
+        Self::start_inner(service, recovered_jobs, config)
     }
 
     fn start_inner(
-        pool: DevicePool,
-        registry: Registry,
+        service: JobService,
         recovered_jobs: u64,
         config: ServerConfig,
     ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
         let addr = listener.local_addr()?;
-        let obs = pool.obs_registry();
-        let trace = pool.trace_buffer();
+        let obs = service.pool().obs_registry();
+        let trace = service.pool().trace_buffer();
         let metrics = ServeMetrics::new(&obs, trace.as_ref());
         metrics.recovered_jobs.add(recovered_jobs);
         let shared = Arc::new(Shared {
-            pool,
-            registry,
+            service,
             obs,
             trace,
             metrics,
-            ledger: config.quota.map(Quota::ledger),
             config,
             shutdown: AtomicBool::new(false),
             started: Instant::now(),
@@ -341,66 +307,6 @@ impl Drop for Server {
     fn drop(&mut self) {
         self.stop();
     }
-}
-
-/// The experiment name a recovered opaque job was journaled under.
-fn recovered_experiment(spec: &JobSpec) -> Option<&'static str> {
-    match spec {
-        JobSpec::Opaque { tag, .. } => match tag.as_str() {
-            "allxy" => Some("allxy"),
-            "qec" => Some("qec"),
-            _ => None,
-        },
-        _ => None,
-    }
-}
-
-/// Re-renders the chunk documents of a recovered chunked shot batch, so
-/// `GET /jobs/{id}/chunks` answers across the restart exactly as it did
-/// before it (chunk boundaries come from the journaled spec; contents
-/// come from the result log).
-fn recovered_chunks(spec: &JobSpec, output: &JobOutput) -> Vec<Json> {
-    let (JobSpec::Shots { chunk, .. }, JobOutput::Batch(batch)) = (spec, output) else {
-        return Vec::new();
-    };
-    if *chunk == 0 {
-        return Vec::new();
-    }
-    let size = usize::try_from(*chunk).unwrap_or(usize::MAX).max(1);
-    batch
-        .shots
-        .chunks(size)
-        .enumerate()
-        .map(|(i, reports)| {
-            wire::encode_chunk(&ShotChunk {
-                first_shot: (i * size) as u64,
-                reports: reports.to_vec(),
-            })
-        })
-        .collect()
-}
-
-/// Rebuilds an opaque (experiment) job from its journaled submission
-/// document and re-enters it into the pool under its original id.
-fn resubmit_opaque(
-    pool: &DevicePool,
-    id: JobId,
-    payload: &[u8],
-    client: &str,
-) -> Result<RecoveredSeed, String> {
-    let text = std::str::from_utf8(payload)
-        .map_err(|_| "journaled submission payload is not UTF-8".to_string())?;
-    let doc =
-        Json::parse(text).map_err(|e| format!("journaled submission failed to parse: {e}"))?;
-    let submission = wire::parse_submission(&doc, pool)
-        .map_err(|p| format!("journaled submission failed to validate: {}", p.detail))?;
-    let handle = pool
-        .resubmit_recovered(id, submission.job.with_client(client))
-        .map_err(|e| format!("recovered job re-enqueue failed: {e}"))?;
-    Ok(RecoveredSeed::Live {
-        handle,
-        render: submission.render,
-    })
 }
 
 /// How long a request may take to arrive once its first byte has: the
@@ -577,47 +483,13 @@ fn dispatch(shared: &Shared, request: &Request) -> (Response, &'static str) {
     let response = match route.name {
         "submit_job" => submit_job(shared, request),
         "list_jobs" => list_jobs(shared, request),
-        "job_status" => with_id(&params, |id| {
-            shared
-                .registry
-                .status(id)
-                .map(|doc| Response::json(200, &doc))
-        }),
-        "cancel_job" => with_id(&params, |id| {
-            shared
-                .registry
-                .cancel(id)
-                .map(|doc| Response::json(200, &doc))
-        }),
-        "job_result" => with_id(&params, |id| {
-            shared
-                .registry
-                .result(id)
-                .map(|doc| Response::json(200, &doc))
-        }),
-        "job_chunks" => {
-            let from = match request.query_param("from") {
-                None => 0,
-                Some(raw) => match raw.parse::<usize>() {
-                    Ok(from) => from,
-                    Err(_) => {
-                        return (
-                            ProblemJson::validation(format!(
-                                "'from' must be a non-negative integer, got '{raw}'"
-                            ))
-                            .into_response(),
-                            route.name,
-                        )
-                    }
-                },
-            };
-            with_id(&params, |id| {
-                shared
-                    .registry
-                    .chunks(id, from)
-                    .map(|doc| Response::json(200, &doc))
-            })
-        }
+        "job_status" => with_id(&params, |id| shared.service.status(id)),
+        "cancel_job" => with_id(&params, |id| shared.service.cancel(id)),
+        "job_result" => with_id(&params, |id| shared.service.result(id)),
+        "job_chunks" => match query_uint(request, "from", 0) {
+            Ok(from) => with_id(&params, |id| shared.service.chunks(id, from)),
+            Err(problem) => problem.into_response(),
+        },
         "metrics" => metrics_response(shared, request),
         "trace" => trace_response(shared),
         other => ProblemJson::internal(format!("unrouted handler '{other}'")).into_response(),
@@ -625,101 +497,58 @@ fn dispatch(shared: &Shared, request: &Request) -> (Response, &'static str) {
     (response, route.name)
 }
 
-/// Parses the `{id}` capture and runs `f`, mapping problems to responses.
-fn with_id(params: &[&str], f: impl FnOnce(JobId) -> Result<Response, ProblemJson>) -> Response {
+/// Parses the `{id}` capture, calls the service, and renders the
+/// document as a 200 (or the service error as its problem).
+fn with_id(params: &[&str], call: impl FnOnce(JobId) -> Result<Json, ServiceError>) -> Response {
     let raw = params.first().copied().unwrap_or("");
     match raw.parse::<JobId>() {
-        Ok(id) => f(id).unwrap_or_else(ProblemJson::into_response),
+        Ok(id) => match call(id) {
+            Ok(doc) => Response::json(200, &doc),
+            Err(e) => ProblemJson::from(e).into_response(),
+        },
         Err(_) => {
             ProblemJson::bad_request(format!("job ids are integers, got '{raw}'")).into_response()
         }
     }
 }
 
-/// `POST /jobs`: quota check, body parse, validation, pool submit.
+/// A non-negative integer query parameter, `default` when absent.
+fn query_uint(request: &Request, name: &str, default: usize) -> Result<usize, ProblemJson> {
+    match request.query_param(name) {
+        None => Ok(default),
+        Some(raw) => raw.parse().map_err(|_| {
+            ProblemJson::validation(format!(
+                "'{name}' must be a non-negative integer, got '{raw}'"
+            ))
+        }),
+    }
+}
+
+/// `POST /jobs`: the service admits, parses, validates and submits.
 fn submit_job(shared: &Shared, request: &Request) -> Response {
-    let client = request
-        .header("x-quma-client")
-        .unwrap_or("anonymous")
-        .to_string();
-    if let Some(ledger) = &shared.ledger {
-        if let Err(retry_after) = ledger.admit(&client) {
-            shared.metrics.quota_rejections.inc();
-            return ProblemJson::quota_exhausted(
-                format!("client '{client}' has spent its submission quota"),
-                retry_after,
-            )
-            .with_context("client", Json::str(client))
-            .into_response();
+    let client = request.header("x-quma-client").unwrap_or("anonymous");
+    match shared.service.submit(client, &request.body) {
+        Ok((id, status)) => {
+            shared.metrics.submitted.inc();
+            Response::json(201, &status).with_header("location", format!("/jobs/{id}"))
+        }
+        Err(e) => {
+            if matches!(e, ServiceError::QuotaExhausted { .. }) {
+                shared.metrics.quota_rejections.inc();
+            }
+            ProblemJson::from(e).into_response()
         }
     }
-    let body = match std::str::from_utf8(&request.body) {
-        Ok(body) => body,
-        Err(_) => return ProblemJson::bad_request("request body is not UTF-8").into_response(),
-    };
-    let doc = match Json::parse(body) {
-        Ok(doc) => doc,
-        Err(e) => {
-            return ProblemJson::bad_request(format!("body is not valid JSON: {e}")).into_response()
-        }
-    };
-    let submission = match wire::parse_submission(&doc, &shared.pool) {
-        Ok(submission) => submission,
-        Err(problem) => return problem.into_response(),
-    };
-    // Tag the job with its client so a journaled submission record (and
-    // any recovery of it) carries the same attribution the registry does.
-    let handle = match shared
-        .pool
-        .submit(submission.job.with_client(client.clone()))
-    {
-        Ok(handle) => handle,
-        Err(SubmitError::QueueFull { priority, depth }) => {
-            return ProblemJson::queue_full(
-                format!("the {priority:?}-priority queue is at its bound of {depth}"),
-                shared.config.queue_retry_after,
-            )
-            .with_context("depth", Json::Int(depth.min(i64::MAX as usize) as i64))
-            .into_response()
-        }
-        Err(SubmitError::ShutDown) => return ProblemJson::shutting_down().into_response(),
-        Err(SubmitError::InvalidJob(e)) => {
-            return ProblemJson::validation(format!("job rejected at submit: {e}")).into_response()
-        }
-    };
-    shared.metrics.submitted.inc();
-    let id = handle.id();
-    let status = shared.registry.insert(
-        handle,
-        submission.kind,
-        submission.experiment,
-        client,
-        submission.render,
-    );
-    Response::json(201, &status).with_header("location", format!("/jobs/{id}"))
 }
 
 /// `GET /jobs?limit=&offset=`.
 fn list_jobs(shared: &Shared, request: &Request) -> Response {
-    let parse_bound = |name: &str, default: usize| -> Result<usize, ProblemJson> {
-        match request.query_param(name) {
-            None => Ok(default),
-            Some(raw) => raw.parse::<usize>().map_err(|_| {
-                ProblemJson::validation(format!(
-                    "'{name}' must be a non-negative integer, got '{raw}'"
-                ))
-            }),
-        }
-    };
-    let limit = match parse_bound("limit", 50) {
-        Ok(limit) => limit.min(1000),
-        Err(problem) => return problem.into_response(),
-    };
-    let offset = match parse_bound("offset", 0) {
-        Ok(offset) => offset,
-        Err(problem) => return problem.into_response(),
-    };
-    Response::json(200, &shared.registry.list(limit, offset))
+    let bounds = query_uint(request, "limit", 50)
+        .and_then(|limit| Ok((limit.min(1000), query_uint(request, "offset", 0)?)));
+    match bounds {
+        Ok((limit, offset)) => Response::json(200, &shared.service.list(limit, offset)),
+        Err(problem) => problem.into_response(),
+    }
 }
 
 /// `GET /metrics`, content-negotiated: Prometheus text exposition when
@@ -727,10 +556,7 @@ fn list_jobs(shared: &Shared, request: &Request) -> Response {
 /// names `text/plain` without `application/json`), the JSON snapshot
 /// otherwise. Both views read the same registry handles.
 fn metrics_response(shared: &Shared, request: &Request) -> Response {
-    shared
-        .metrics
-        .jobs_tracked
-        .set(shared.registry.len() as u64);
+    shared.metrics.jobs_tracked.set(shared.service.len() as u64);
     let seq = shared.snapshot_seq.fetch_add(1, Ordering::Relaxed);
     if wants_prometheus(request) {
         Response::new(200)
@@ -755,20 +581,15 @@ fn wants_prometheus(request: &Request) -> bool {
     }
 }
 
-/// A saturating `u64 → i64` cast for JSON integers.
-fn int(v: u64) -> Json {
-    Json::Int(i64::try_from(v).unwrap_or(i64::MAX))
-}
-
 /// A latency summary document from a histogram snapshot (nanoseconds).
 fn hist_json(snap: &HistogramSnapshot) -> Json {
     Json::obj([
-        ("count", int(snap.count)),
-        ("p50_ns", int(snap.p50())),
-        ("p90_ns", int(snap.p90())),
-        ("p99_ns", int(snap.p99())),
-        ("max_ns", int(snap.max)),
-        ("mean_ns", int(snap.mean())),
+        ("count", Json::uint(snap.count)),
+        ("p50_ns", Json::uint(snap.p50())),
+        ("p90_ns", Json::uint(snap.p90())),
+        ("p99_ns", Json::uint(snap.p99())),
+        ("max_ns", Json::uint(snap.max)),
+        ("mean_ns", Json::uint(snap.mean())),
     ])
 }
 
@@ -776,7 +597,8 @@ fn hist_json(snap: &HistogramSnapshot) -> Json {
 /// latency summaries, plus `uptime_ms` and the monotonic
 /// `snapshot_seq` pollers use to detect restarts.
 fn metrics_json(shared: &Shared, seq: u64) -> Json {
-    let stats = shared.pool.stats();
+    let pool = shared.service.pool();
+    let stats = pool.stats();
     let m = &shared.metrics;
     let routes = m
         .routes
@@ -790,58 +612,58 @@ fn metrics_json(shared: &Shared, seq: u64) -> Json {
         })
         .collect();
     Json::obj([
-        ("uptime_ms", {
-            let ms = shared.started.elapsed().as_millis();
-            Json::Int(i64::try_from(ms).unwrap_or(i64::MAX))
-        }),
-        ("snapshot_seq", int(seq)),
+        (
+            "uptime_ms",
+            Json::uint(u64::try_from(shared.started.elapsed().as_millis()).unwrap_or(u64::MAX)),
+        ),
+        ("snapshot_seq", Json::uint(seq)),
         (
             "pool",
             Json::obj([
-                ("workers", int(stats.workers as u64)),
-                ("submitted", int(stats.submitted)),
-                ("rejected", int(stats.rejected)),
-                ("completed", int(stats.completed)),
-                ("failed", int(stats.failed)),
-                ("cancelled", int(stats.cancelled)),
-                ("high_completed", int(stats.high_completed)),
-                ("cache_hits", int(stats.cache_hits)),
-                ("cache_misses", int(stats.cache_misses)),
-                ("warm_device_clones", int(stats.warm_device_clones)),
-                ("cold_device_builds", int(stats.cold_device_builds)),
-                ("warm_session_reuses", int(stats.warm_session_reuses)),
-                ("executed_shots", int(stats.executed_shots)),
-                ("recovered_jobs", int(stats.recovered_jobs)),
-                ("max_queue_depth", int(stats.max_queue_depth as u64)),
+                ("workers", Json::uint(stats.workers as u64)),
+                ("submitted", Json::uint(stats.submitted)),
+                ("rejected", Json::uint(stats.rejected)),
+                ("completed", Json::uint(stats.completed)),
+                ("failed", Json::uint(stats.failed)),
+                ("cancelled", Json::uint(stats.cancelled)),
+                ("high_completed", Json::uint(stats.high_completed)),
+                ("cache_hits", Json::uint(stats.cache_hits)),
+                ("cache_misses", Json::uint(stats.cache_misses)),
+                ("warm_device_clones", Json::uint(stats.warm_device_clones)),
+                ("cold_device_builds", Json::uint(stats.cold_device_builds)),
+                ("warm_session_reuses", Json::uint(stats.warm_session_reuses)),
+                ("executed_shots", Json::uint(stats.executed_shots)),
+                ("recovered_jobs", Json::uint(stats.recovered_jobs)),
+                ("max_queue_depth", Json::uint(stats.max_queue_depth as u64)),
             ]),
         ),
         (
             "journal",
             Json::obj([
-                ("records_written", int(stats.journal_records_written)),
-                ("bytes_written", int(stats.journal_bytes_written)),
-                ("fsyncs", int(stats.journal_fsyncs)),
+                ("records_written", Json::uint(stats.journal_records_written)),
+                ("bytes_written", Json::uint(stats.journal_bytes_written)),
+                ("fsyncs", Json::uint(stats.journal_fsyncs)),
             ]),
         ),
         (
             "serve",
             Json::obj([
-                ("requests", int(m.requests.get())),
-                ("submitted", int(m.submitted.get())),
-                ("responses_2xx", int(m.responses[0].get())),
-                ("responses_3xx", int(m.responses[1].get())),
-                ("responses_4xx", int(m.responses[2].get())),
-                ("responses_5xx", int(m.responses[3].get())),
-                ("quota_rejections", int(m.quota_rejections.get())),
-                ("recovered_jobs", int(m.recovered_jobs.get())),
-                ("jobs_tracked", int(shared.registry.len() as u64)),
+                ("requests", Json::uint(m.requests.get())),
+                ("submitted", Json::uint(m.submitted.get())),
+                ("responses_2xx", Json::uint(m.responses[0].get())),
+                ("responses_3xx", Json::uint(m.responses[1].get())),
+                ("responses_4xx", Json::uint(m.responses[2].get())),
+                ("responses_5xx", Json::uint(m.responses[3].get())),
+                ("quota_rejections", Json::uint(m.quota_rejections.get())),
+                ("recovered_jobs", Json::uint(m.recovered_jobs.get())),
+                ("jobs_tracked", Json::uint(shared.service.len() as u64)),
             ]),
         ),
         (
             "latency",
             Json::obj([
-                ("queue_wait", hist_json(&shared.pool.queue_wait_snapshot())),
-                ("run", hist_json(&shared.pool.run_time_snapshot())),
+                ("queue_wait", hist_json(&pool.queue_wait_snapshot())),
+                ("run", hist_json(&pool.run_time_snapshot())),
                 ("routes", Json::Arr(routes)),
             ]),
         ),
@@ -851,7 +673,7 @@ fn metrics_json(shared: &Shared, seq: u64) -> Json {
                 ("enabled", Json::Bool(shared.trace.is_some())),
                 (
                     "dropped_events",
-                    int(shared.trace.as_ref().map_or(0, TraceBuffer::dropped_events)),
+                    Json::uint(shared.trace.as_ref().map_or(0, TraceBuffer::dropped_events)),
                 ),
             ]),
         ),

@@ -9,8 +9,9 @@
 //! [`Session`](quma_core::engine::Session) run —
 //! `tests/http_lifecycle.rs` pins exactly that.
 
+use std::time::Duration;
+
 use crate::json::Json;
-use crate::problem::ProblemJson;
 use quma_core::prelude::ChipProfile;
 use quma_core::prelude::{BatchReport, RunReport, ShotSeeds};
 use quma_experiments::prelude::{
@@ -31,72 +32,95 @@ pub(crate) struct Submission {
     pub kind: &'static str,
     /// The experiment name for experiment jobs.
     pub experiment: Option<&'static str>,
-    /// Converts the finished output to its response document.
-    pub render: Box<dyn FnOnce(JobOutput) -> Json + Send>,
 }
 
-fn field_problem(detail: impl Into<String>, path: &str) -> ProblemJson {
-    ProblemJson::validation(detail).with_context("path", Json::str(path.to_string()))
+/// Why a submission document was rejected: the detail plus structured
+/// context (`path` names the field; `point` or `slot` the list entry).
+/// Served as a 422 `validation_error` problem.
+#[derive(Debug)]
+pub(crate) struct FieldError {
+    /// Human-readable description of the fault.
+    pub detail: String,
+    /// Context pairs, in the order they were attached.
+    pub context: Vec<(String, Json)>,
 }
 
-fn want_u64(doc: &Json, key: &str, default: Option<u64>) -> Result<u64, ProblemJson> {
-    match doc.get(key) {
-        None => default.ok_or_else(|| field_problem(format!("missing field '{key}'"), key)),
-        Some(v) => v
-            .as_u64()
-            .ok_or_else(|| field_problem(format!("'{key}' must be a non-negative integer"), key)),
+impl FieldError {
+    fn new(detail: impl Into<String>) -> Self {
+        Self {
+            detail: detail.into(),
+            context: Vec::new(),
+        }
+    }
+
+    fn with_context(mut self, key: &str, value: Json) -> Self {
+        self.context.push((key.to_string(), value));
+        self
     }
 }
 
-fn want_f64(doc: &Json, key: &str, default: f64) -> Result<f64, ProblemJson> {
+fn field_error(detail: impl Into<String>, path: &str) -> FieldError {
+    FieldError::new(detail).with_context("path", Json::str(path))
+}
+
+fn want_u64(doc: &Json, key: &str, default: Option<u64>) -> Result<u64, FieldError> {
+    match doc.get(key) {
+        None => default.ok_or_else(|| field_error(format!("missing field '{key}'"), key)),
+        Some(v) => v
+            .as_u64()
+            .ok_or_else(|| field_error(format!("'{key}' must be a non-negative integer"), key)),
+    }
+}
+
+fn want_f64(doc: &Json, key: &str, default: f64) -> Result<f64, FieldError> {
     match doc.get(key) {
         None => Ok(default),
         Some(v) => v
             .as_f64()
-            .ok_or_else(|| field_problem(format!("'{key}' must be a number"), key)),
+            .ok_or_else(|| field_error(format!("'{key}' must be a number"), key)),
     }
 }
 
-fn want_bool(doc: &Json, key: &str, default: bool) -> Result<bool, ProblemJson> {
+fn want_bool(doc: &Json, key: &str, default: bool) -> Result<bool, FieldError> {
     match doc.get(key) {
         None => Ok(default),
         Some(v) => v
             .as_bool()
-            .ok_or_else(|| field_problem(format!("'{key}' must be a boolean"), key)),
+            .ok_or_else(|| field_error(format!("'{key}' must be a boolean"), key)),
     }
 }
 
-fn want_str<'d>(doc: &'d Json, key: &str) -> Result<&'d str, ProblemJson> {
+fn want_str<'d>(doc: &'d Json, key: &str) -> Result<&'d str, FieldError> {
     doc.get(key)
         .and_then(Json::as_str)
-        .ok_or_else(|| field_problem(format!("missing string field '{key}'"), key))
+        .ok_or_else(|| field_error(format!("missing string field '{key}'"), key))
 }
 
-fn seeds_from(doc: &Json, key: &str) -> Result<ShotSeeds, ProblemJson> {
+fn seeds_from(doc: &Json, key: &str) -> Result<ShotSeeds, FieldError> {
     let obj = doc
         .get(key)
-        .ok_or_else(|| field_problem(format!("missing field '{key}'"), key))?;
+        .ok_or_else(|| field_error(format!("missing field '{key}'"), key))?;
     Ok(ShotSeeds {
         chip: want_u64(obj, "chip", None)?,
         jitter: want_u64(obj, "jitter", None)?,
     })
 }
 
-fn plan_from(obj: &Json) -> Result<(u64, u64), ProblemJson> {
+fn plan_from(obj: &Json) -> Result<(u64, u64), FieldError> {
     Ok((
         want_u64(obj, "chip_base", None)?,
         want_u64(obj, "jitter_base", None)?,
     ))
 }
 
-fn profile_from(doc: &Json, key: &str, default: ChipProfile) -> Result<ChipProfile, ProblemJson> {
+fn profile_from(doc: &Json, key: &str, default: ChipProfile) -> Result<ChipProfile, FieldError> {
     match doc.get(key) {
         None => Ok(default),
         Some(v) => match v.as_str() {
             Some("ideal") => Ok(ChipProfile::Ideal),
             Some("paper") => Ok(ChipProfile::Paper),
             Some("stabilizer") => Ok(ChipProfile::Stabilizer),
-            _ => Err(field_problem(
+            _ => Err(field_error(
                 format!("'{key}' must be one of \"ideal\", \"paper\", \"stabilizer\""),
                 key,
             )),
@@ -105,13 +129,10 @@ fn profile_from(doc: &Json, key: &str, default: ChipProfile) -> Result<ChipProfi
 }
 
 /// Parses and validates a `POST /jobs` body into a [`Submission`].
-/// Every rejection is a 422 `validation_error` problem naming the bad
-/// field.
-pub(crate) fn parse_submission(doc: &Json, pool: &DevicePool) -> Result<Submission, ProblemJson> {
+/// Every rejection is a [`FieldError`] naming the bad field.
+pub(crate) fn parse_submission(doc: &Json, pool: &DevicePool) -> Result<Submission, FieldError> {
     if !matches!(doc, Json::Obj(_)) {
-        return Err(ProblemJson::validation(
-            "the job document must be an object",
-        ));
+        return Err(FieldError::new("the job document must be an object"));
     }
     let priority = match doc.get("priority") {
         None => Priority::Normal,
@@ -119,7 +140,7 @@ pub(crate) fn parse_submission(doc: &Json, pool: &DevicePool) -> Result<Submissi
             Some("normal") => Priority::Normal,
             Some("high") => Priority::High,
             _ => {
-                return Err(field_problem(
+                return Err(field_error(
                     "'priority' must be \"normal\" or \"high\"",
                     "priority",
                 ))
@@ -132,7 +153,7 @@ pub(crate) fn parse_submission(doc: &Json, pool: &DevicePool) -> Result<Submissi
         "template_sweep" => workload(parse_template_sweep(doc)?, pool)?,
         "experiment" => parse_experiment(doc)?,
         other => {
-            return Err(field_problem(
+            return Err(field_error(
                 format!(
                     "unknown job kind '{other}' \
                      (expected shots | sweep | template_sweep | experiment)"
@@ -148,9 +169,9 @@ pub(crate) fn parse_submission(doc: &Json, pool: &DevicePool) -> Result<Submissi
 }
 
 /// The submission for a shot, sweep or template-sweep spec. The pool
-/// builds the job; a source it cannot assemble is a 422 naming the
-/// source field (and, for sweeps, the point).
-fn workload(spec: JobSpec, pool: &DevicePool) -> Result<Submission, ProblemJson> {
+/// builds the job; a source it cannot assemble is a field error naming
+/// the source field (and, for sweeps, the point).
+fn workload(spec: JobSpec, pool: &DevicePool) -> Result<Submission, FieldError> {
     let kind = spec.kind();
     let job = pool.job_from_spec(spec).map_err(|e| {
         let what = if kind == "template_sweep" {
@@ -158,26 +179,24 @@ fn workload(spec: JobSpec, pool: &DevicePool) -> Result<Submission, ProblemJson>
         } else {
             "assembly"
         };
-        let problem = ProblemJson::validation(format!("{what} rejected: {}", e.error))
-            .with_context("path", Json::str("source"));
+        let error = field_error(format!("{what} rejected: {}", e.error), "source");
         match e.point {
-            Some(i) => problem.with_context("point", Json::Int(i as i64)),
-            None => problem,
+            Some(i) => error.with_context("point", Json::uint(i as u64)),
+            None => error,
         }
     })?;
     Ok(Submission {
         job,
         kind,
         experiment: None,
-        render: render_for_kind(kind),
     })
 }
 
-fn parse_shots(doc: &Json) -> Result<JobSpec, ProblemJson> {
+fn parse_shots(doc: &Json) -> Result<JobSpec, FieldError> {
     let source = want_str(doc, "source")?;
     let shots = want_u64(doc, "shots", None)?;
     if shots == 0 || shots > 1_000_000 {
-        return Err(field_problem("'shots' must be in 1..=1000000", "shots"));
+        return Err(field_error("'shots' must be in 1..=1000000", "shots"));
     }
     Ok(JobSpec::Shots {
         source: source.to_string(),
@@ -187,20 +206,20 @@ fn parse_shots(doc: &Json) -> Result<JobSpec, ProblemJson> {
     })
 }
 
-fn parse_sweep(doc: &Json) -> Result<JobSpec, ProblemJson> {
+fn parse_sweep(doc: &Json) -> Result<JobSpec, FieldError> {
     let points = doc
         .get("points")
         .and_then(Json::as_arr)
-        .ok_or_else(|| field_problem("'points' must be an array", "points"))?;
+        .ok_or_else(|| field_error("'points' must be an array", "points"))?;
     if points.is_empty() || points.len() > 100_000 {
-        return Err(field_problem(
+        return Err(field_error(
             "'points' must hold 1..=100000 points",
             "points",
         ));
     }
     let mut spec_points = Vec::with_capacity(points.len());
     for (i, point) in points.iter().enumerate() {
-        let at = |p: ProblemJson| p.with_context("point", Json::Int(i as i64));
+        let at = |p: FieldError| p.with_context("point", Json::uint(i as u64));
         let source = want_str(point, "source").map_err(at)?;
         let seeds = seeds_from(point, "seeds").map_err(at)?;
         spec_points.push(SweepPointSpec {
@@ -214,18 +233,18 @@ fn parse_sweep(doc: &Json) -> Result<JobSpec, ProblemJson> {
     })
 }
 
-fn parse_template_sweep(doc: &Json) -> Result<JobSpec, ProblemJson> {
+fn parse_template_sweep(doc: &Json) -> Result<JobSpec, FieldError> {
     let source = want_str(doc, "source")?;
     let slots_doc = doc
         .get("slots")
         .and_then(Json::as_arr)
-        .ok_or_else(|| field_problem("'slots' must be an array", "slots"))?;
+        .ok_or_else(|| field_error("'slots' must be an array", "slots"))?;
     let mut slots = Vec::with_capacity(slots_doc.len());
     for (i, slot) in slots_doc.iter().enumerate() {
         let name =
-            want_str(slot, "name").map_err(|p| p.with_context("slot", Json::Int(i as i64)))?;
+            want_str(slot, "name").map_err(|p| p.with_context("slot", Json::uint(i as u64)))?;
         let insn = want_u64(slot, "instruction", None)
-            .map_err(|p| p.with_context("slot", Json::Int(i as i64)))?;
+            .map_err(|p| p.with_context("slot", Json::uint(i as u64)))?;
         let field = match slot.get("field").and_then(Json::as_str) {
             Some("wait_interval") => PatchField::WaitInterval,
             Some("mov_imm") => PatchField::MovImm,
@@ -234,12 +253,12 @@ fn parse_template_sweep(doc: &Json) -> Result<JobSpec, ProblemJson> {
                 op: want_u64(slot, "op", Some(0))? as usize,
             },
             _ => {
-                return Err(field_problem(
+                return Err(field_error(
                     "'field' must be one of \"wait_interval\", \"mov_imm\", \
                      \"mpg_duration\", \"pulse_uop\"",
                     "field",
                 )
-                .with_context("slot", Json::Int(i as i64)))
+                .with_context("slot", Json::uint(i as u64)))
             }
         };
         slots.push(SlotSpec::new(name, insn as u32, field));
@@ -247,30 +266,30 @@ fn parse_template_sweep(doc: &Json) -> Result<JobSpec, ProblemJson> {
     let points_doc = doc
         .get("points")
         .and_then(Json::as_arr)
-        .ok_or_else(|| field_problem("'points' must be an array", "points"))?;
+        .ok_or_else(|| field_error("'points' must be an array", "points"))?;
     if points_doc.is_empty() || points_doc.len() > 100_000 {
-        return Err(field_problem(
+        return Err(field_error(
             "'points' must hold 1..=100000 points",
             "points",
         ));
     }
     let mut points = Vec::with_capacity(points_doc.len());
     for (i, point) in points_doc.iter().enumerate() {
-        let seeds =
-            seeds_from(point, "seeds").map_err(|p| p.with_context("point", Json::Int(i as i64)))?;
+        let seeds = seeds_from(point, "seeds")
+            .map_err(|p| p.with_context("point", Json::uint(i as u64)))?;
         let patches = match point.get("patches") {
             Some(Json::Obj(pairs)) => pairs
                 .iter()
                 .map(|(axis, v)| {
                     v.as_i64().map(|n| (axis.clone(), n)).ok_or_else(|| {
-                        field_problem("patch values must be integers", "patches")
-                            .with_context("point", Json::Int(i as i64))
+                        field_error("patch values must be integers", "patches")
+                            .with_context("point", Json::uint(i as u64))
                     })
                 })
                 .collect::<Result<Vec<_>, _>>()?,
             _ => {
-                return Err(field_problem("'patches' must be an object", "patches")
-                    .with_context("point", Json::Int(i as i64)))
+                return Err(field_error("'patches' must be an object", "patches")
+                    .with_context("point", Json::uint(i as u64)))
             }
         };
         points.push(TemplatePointSpec {
@@ -286,7 +305,7 @@ fn parse_template_sweep(doc: &Json) -> Result<JobSpec, ProblemJson> {
     })
 }
 
-fn parse_experiment(doc: &Json) -> Result<Submission, ProblemJson> {
+fn parse_experiment(doc: &Json) -> Result<Submission, FieldError> {
     let name = want_str(doc, "experiment")?;
     // Experiment configs are typed per experiment, so the journal gets
     // the whole submission document as an opaque payload; recovery hands
@@ -314,24 +333,20 @@ fn parse_experiment(doc: &Json) -> Result<Submission, ProblemJson> {
                 job: with_spec(Job::experiment(Allxy, config), "allxy"),
                 kind: "experiment",
                 experiment: Some("allxy"),
-                render: Box::new(|out| match out.downcast::<AllxyResult>() {
-                    Some(result) => encode_allxy(&result),
-                    None => Json::Null,
-                }),
             })
         }
         "qec" => {
             let defaults = QecConfig::default();
             let distance = want_u64(&cfg, "distance", Some(defaults.distance as u64))? as usize;
             if distance.is_multiple_of(2) || !(3..=25).contains(&distance) {
-                return Err(field_problem(
+                return Err(field_error(
                     "'distance' must be odd and in 3..=25",
                     "distance",
                 ));
             }
             let profile = profile_from(&cfg, "profile", defaults.profile)?;
             if distance > 5 && profile != ChipProfile::Stabilizer {
-                return Err(field_problem(
+                return Err(field_error(
                     "distances above 5 need \"stabilizer\" as the profile",
                     "profile",
                 ));
@@ -354,48 +369,35 @@ fn parse_experiment(doc: &Json) -> Result<Submission, ProblemJson> {
                 job: with_spec(Job::experiment(QecInjected::default(), config), "qec"),
                 kind: "experiment",
                 experiment: Some("qec"),
-                render: Box::new(|out| match out.downcast::<QecResult>() {
-                    Some(result) => encode_qec(&result),
-                    None => Json::Null,
-                }),
             })
         }
-        other => Err(field_problem(
+        other => Err(field_error(
             format!("unknown experiment '{other}' (expected allxy | qec)"),
             "experiment",
         )),
     }
 }
 
-/// The render closure for a shot, sweep or template-sweep job of
-/// `kind`, installed both at submission and by recovery for a resumed
-/// (or journal-served) job — so a result served after a restart is
-/// byte-identical to the one served before it.
-pub(crate) fn render_for_kind(kind: &str) -> Box<dyn FnOnce(JobOutput) -> Json + Send> {
-    match kind {
-        "shots" => Box::new(|out| match out {
-            JobOutput::Batch(batch) => encode_batch(&batch),
-            other => render_mismatch("batch", &other),
-        }),
-        _ => Box::new(|out| match out {
-            JobOutput::Reports(reports) => encode_reports(&reports),
-            other => render_mismatch("reports", &other),
-        }),
+/// A finished job's result document, a function of the output alone —
+/// so a result served after a restart (from the result log, or by a
+/// resumed job) is byte-identical to the one served before it.
+pub(crate) fn encode_output(output: JobOutput) -> Json {
+    match output {
+        JobOutput::Batch(batch) => encode_batch(&batch),
+        JobOutput::Reports(reports) => encode_reports(&reports),
+        JobOutput::Experiment(any) => match any.downcast::<AllxyResult>() {
+            Ok(result) => encode_allxy(&result),
+            Err(any) => any
+                .downcast::<QecResult>()
+                .map_or(Json::Null, |r| encode_qec(&r)),
+        },
     }
-}
-
-fn render_mismatch(expected: &str, got: &JobOutput) -> Json {
-    Json::obj([
-        ("error", Json::str("output kind mismatch")),
-        ("expected", Json::str(expected.to_string())),
-        ("got", Json::str(format!("{got:?}"))),
-    ])
 }
 
 /// Encodes one shot record. The triple (`registers`, `md_results`,
 /// `collector_averages`) is the deterministic payload the bit-identity
 /// contract covers; run statistics ride along informationally.
-pub(crate) fn encode_run_report(report: &RunReport) -> Json {
+fn encode_run_report(report: &RunReport) -> Json {
     Json::obj([
         (
             "registers",
@@ -415,8 +417,8 @@ pub(crate) fn encode_run_report(report: &RunReport) -> Json {
                     .iter()
                     .map(|md| {
                         Json::obj([
-                            ("td", Json::Int(md.td.min(i64::MAX as u64) as i64)),
-                            ("qubit", Json::Int(md.qubit as i64)),
+                            ("td", Json::uint(md.td)),
+                            ("qubit", Json::uint(md.qubit as u64)),
                             ("bit", Json::Int(i64::from(md.bit))),
                             ("s", Json::Float(md.s)),
                             (
@@ -443,7 +445,7 @@ pub(crate) fn encode_run_report(report: &RunReport) -> Json {
 }
 
 /// Encodes a `Shots` batch as `{"type":"batch","shots":[…]}`.
-pub(crate) fn encode_batch(batch: &BatchReport) -> Json {
+fn encode_batch(batch: &BatchReport) -> Json {
     Json::obj([
         ("type", Json::str("batch")),
         (
@@ -454,7 +456,7 @@ pub(crate) fn encode_batch(batch: &BatchReport) -> Json {
 }
 
 /// Encodes sweep reports as `{"type":"reports","points":[…]}`.
-pub(crate) fn encode_reports(reports: &[RunReport]) -> Json {
+fn encode_reports(reports: &[RunReport]) -> Json {
     Json::obj([
         ("type", Json::str("reports")),
         (
@@ -473,7 +475,7 @@ fn encode_allxy(result: &AllxyResult) -> Json {
         ("fidelity", floats(&result.fidelity)),
         ("ideal", floats(&result.ideal)),
         ("deviation", Json::Float(result.deviation)),
-        ("points_per_pair", Json::Int(result.points_per_pair as i64)),
+        ("points_per_pair", Json::uint(result.points_per_pair as u64)),
     ])
 }
 
@@ -481,20 +483,14 @@ fn encode_qec(result: &QecResult) -> Json {
     Json::obj([
         ("type", Json::str("experiment")),
         ("experiment", Json::str("qec")),
-        ("distance", Json::Int(result.distance as i64)),
-        ("rounds", Json::Int(result.rounds as i64)),
-        ("shots", Json::Int(result.shots.min(i64::MAX as u64) as i64)),
+        ("distance", Json::uint(result.distance as u64)),
+        ("rounds", Json::uint(result.rounds as u64)),
+        ("shots", Json::uint(result.shots)),
         ("error_rate", Json::Float(result.error_rate)),
-        (
-            "logical_errors",
-            Json::Int(result.logical_errors.min(i64::MAX as u64) as i64),
-        ),
+        ("logical_errors", Json::uint(result.logical_errors)),
         ("logical_error_rate", Json::Float(result.logical_error_rate)),
         ("error_sem", Json::Float(result.error_sem)),
-        (
-            "injected_flips",
-            Json::Int(result.injected_flips.min(i64::MAX as u64) as i64),
-        ),
+        ("injected_flips", Json::uint(result.injected_flips)),
         (
             "majority_bits",
             Json::Arr(
@@ -510,6 +506,7 @@ fn encode_qec(result: &QecResult) -> Json {
 
 /// Encodes a finished job's metrics.
 pub(crate) fn encode_metrics(metrics: &JobMetrics) -> Json {
+    let micros = |d: Duration| Json::uint(u64::try_from(d.as_micros()).unwrap_or(u64::MAX));
     Json::obj([
         (
             "priority",
@@ -518,19 +515,10 @@ pub(crate) fn encode_metrics(metrics: &JobMetrics) -> Json {
                 Priority::Normal => "normal",
             }),
         ),
-        ("worker", Json::Int(metrics.worker as i64)),
-        (
-            "dispatch_seq",
-            Json::Int(metrics.dispatch_seq.min(i64::MAX as u64) as i64),
-        ),
-        (
-            "queue_wait_us",
-            Json::Int(metrics.queue_wait.as_micros().min(i64::MAX as u128) as i64),
-        ),
-        (
-            "run_time_us",
-            Json::Int(metrics.run_time.as_micros().min(i64::MAX as u128) as i64),
-        ),
+        ("worker", Json::uint(metrics.worker as u64)),
+        ("dispatch_seq", Json::uint(metrics.dispatch_seq)),
+        ("queue_wait_us", micros(metrics.queue_wait)),
+        ("run_time_us", micros(metrics.run_time)),
         ("cache_hit", Json::Bool(metrics.cache_hit)),
     ])
 }
@@ -538,10 +526,7 @@ pub(crate) fn encode_metrics(metrics: &JobMetrics) -> Json {
 /// Encodes one streamed chunk.
 pub(crate) fn encode_chunk(chunk: &ShotChunk) -> Json {
     Json::obj([
-        (
-            "first_shot",
-            Json::Int(chunk.first_shot.min(i64::MAX as u64) as i64),
-        ),
+        ("first_shot", Json::uint(chunk.first_shot)),
         (
             "shots",
             Json::Arr(chunk.reports.iter().map(encode_run_report).collect()),

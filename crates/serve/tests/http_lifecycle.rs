@@ -584,6 +584,146 @@ fn unassemblable_sources_get_pinned_422_documents() {
     server.shutdown();
 }
 
+/// Asserts a response is exactly the problem document `want`, with the
+/// status it names and the problem content type.
+fn assert_problem(response: &MiniResponse, want: &str) {
+    assert_eq!(
+        response.header("content-type"),
+        Some("application/problem+json")
+    );
+    assert_eq!(response.text(), want);
+    let status = want.split("\"status\":").nth(1).unwrap()[..3].to_string();
+    assert_eq!(response.status.to_string(), status);
+}
+
+/// A problem document's bytes; `rest` is everything after `detail`.
+fn problem(status: u16, title: &str, code: &str, detail: &str, rest: &str) -> String {
+    format!(
+        "{{\"type\":\"about:blank\",\"title\":\"{title}\",\"status\":{status},\
+         \"code\":\"{code}\",\"detail\":\"{detail}\"{rest}}}"
+    )
+}
+
+/// A 409 `state_conflict` document's bytes.
+fn conflict(detail: &str, phase: &str) -> String {
+    let context = format!(",\"context\":{{\"phase\":\"{phase}\"}}");
+    problem(
+        409,
+        "conflicting job state",
+        "state_conflict",
+        detail,
+        &context,
+    )
+}
+
+/// The lifecycle and query problem documents, pinned byte for byte:
+/// unknown and malformed ids, every 409 a job's lifecycle can produce,
+/// quota exhaustion, and bad pagination or chunk-cursor parameters.
+#[test]
+fn lifecycle_problem_documents_are_pinned() {
+    let quota = Quota::new().with_burst(3).with_per_second(1.0);
+    let server = serve(1, ServerConfig::new().with_quota(quota));
+    let mut client = MiniClient::connect(server.local_addr(), "pinned");
+    let invalid = |detail: &str| {
+        problem(
+            422,
+            "invalid request content",
+            "validation_error",
+            detail,
+            "",
+        )
+    };
+
+    assert_problem(
+        &client.get("/jobs/424242").unwrap(),
+        &problem(
+            404,
+            "resource not found",
+            "not_found",
+            "no job with id 424242",
+            ",\"context\":{\"id\":424242}",
+        ),
+    );
+    assert_problem(
+        &client.get("/jobs/not-a-number").unwrap(),
+        &problem(
+            400,
+            "malformed request",
+            "bad_request",
+            "job ids are integers, got 'not-a-number'",
+            "",
+        ),
+    );
+    assert_problem(
+        &client.get("/jobs?limit=lots").unwrap(),
+        &invalid("'limit' must be a non-negative integer, got 'lots'"),
+    );
+    assert_problem(
+        &client.get("/jobs/1/chunks?from=-1").unwrap(),
+        &invalid("'from' must be a non-negative integer, got '-1'"),
+    );
+
+    // One worker: the blocker occupies it, the victim stays queued.
+    let blocker = submit_ok(&mut client, &shots_doc(16));
+    let victim = submit_ok(&mut client, &shots_doc(1));
+    assert_problem(
+        &client.get(&format!("/jobs/{victim}/result")).unwrap(),
+        &conflict(
+            &format!(
+                "job {victim} has not finished; poll GET /jobs/{victim} until its phase is \
+                 \\\"finished\\\""
+            ),
+            "queued",
+        ),
+    );
+    let cancelled = client.delete(&format!("/jobs/{victim}")).unwrap();
+    assert_eq!(cancelled.status, 200, "{}", cancelled.text());
+    assert_problem(
+        &client.delete(&format!("/jobs/{victim}")).unwrap(),
+        &conflict(
+            &format!("job {victim} is already cancelled; nothing left to cancel"),
+            "cancelled",
+        ),
+    );
+    // The worker resolves the queued victim before it runs the marker
+    // behind it, so once the marker is done the result route names the
+    // cancellation.
+    let marker = submit_ok(&mut client, &shots_doc(1));
+    client.wait_for(marker, Duration::from_millis(5)).unwrap();
+    assert_problem(
+        &client.get(&format!("/jobs/{victim}/result")).unwrap(),
+        &conflict(
+            &format!("job {victim} was cancelled while queued; it has no result"),
+            "cancelled",
+        ),
+    );
+    assert_problem(
+        &client.delete(&format!("/jobs/{blocker}")).unwrap(),
+        &conflict(
+            &format!("job {blocker} already finished; nothing to cancel"),
+            "finished",
+        ),
+    );
+
+    // A fresh client spends its burst of 3 back to back; at 1 token/s
+    // the fourth submission is refused with a 1 s retry hint.
+    let mut greedy = MiniClient::connect(server.local_addr(), "greedy");
+    for _ in 0..3 {
+        submit_ok(&mut greedy, &shots_doc(1));
+    }
+    assert_problem(
+        &greedy.post_json("/jobs", &shots_doc(1)).unwrap(),
+        &problem(
+            429,
+            "client quota exhausted",
+            "quota_exhausted",
+            "client 'greedy' has spent its submission quota",
+            ",\"context\":{\"client\":\"greedy\"},\"retry_after_seconds\":1",
+        ),
+    );
+    server.shutdown();
+}
+
 /// Opens a raw connection and writes a `POST /jobs` head declaring
 /// `body`'s full length, followed by only its first `sent` bytes.
 fn raw_post(server: &Server, body: &[u8], sent: usize) -> TcpStream {
