@@ -103,7 +103,8 @@ pub enum DeviceError {
         /// Deterministic-domain time of the event.
         td: u64,
     },
-    /// MD event with no latched trace (missing MPG).
+    /// MD event with no measurement window of its own: no MPG on the
+    /// qubit, or its latest window already claimed by another MD.
     MdWithoutMpg {
         /// The qubit.
         qubit: usize,
@@ -296,7 +297,7 @@ impl Device {
             // --- Deterministic domain: advance T_D to `cycle`. ----------
             self.backend.advance_deterministic(cycle, &self.config)?;
             // --- Write-backs due now cross back to the scoreboard. ------
-            for (rd, value) in self.backend.apply_writebacks(cycle, &self.config)? {
+            for (rd, value) in self.backend.apply_writebacks(cycle)? {
                 self.frontend.complete_pending(rd, value);
             }
             // --- Non-deterministic domain. ------------------------------
@@ -716,6 +717,37 @@ mod tests {
         let want = fresh.run_assembly(SEGMENT).unwrap();
         assert_eq!(got.trace.pulse_timeline(), want.trace.pulse_timeline());
         assert_eq!(got.registers, want.registers);
+    }
+
+    #[test]
+    fn readout_retunes_recalibrate_without_growing_the_cache() {
+        // Three qubits with one readout chain share one calibration; each
+        // retune replaces it rather than adding one, and the retuned
+        // device reads out exactly like a fresh device with that tuning.
+        let cfg = DeviceConfig {
+            num_qubits: 3,
+            chip: crate::config::ChipProfile::Paper,
+            ..DeviceConfig::default()
+        };
+        let all = "Wait 40000\nPulse {q0, q2}, X180\nWait 4\nMPG {q0, q1, q2}, 300\n\
+                   MD {q0}, r7\nMD {q1}, r8\nMD {q2}, r9\nhalt\n";
+        let tuned = |dev: &mut Device, sigma: f64| {
+            for q in 0..3 {
+                dev.chip_mut().qubit_mut(q).readout.noise_sigma = sigma;
+            }
+            dev.reseed(0xAB, cfg.jitter_seed);
+        };
+        let mut reused = Device::new(cfg.clone()).unwrap();
+        for step in 0..4 {
+            let sigma = 0.05 + 0.1 * f64::from(step);
+            tuned(&mut reused, sigma);
+            let got = reused.run_assembly(all).unwrap();
+            let mut fresh = Device::new(cfg.clone()).unwrap();
+            tuned(&mut fresh, sigma);
+            let want = fresh.run_assembly(all).unwrap();
+            assert_eq!(got.md_results, want.md_results, "sigma {sigma}");
+            assert_eq!(reused.backend.calibration_count(), 1, "sigma {sigma}");
+        }
     }
 
     #[test]

@@ -1,8 +1,18 @@
 //! The measurement discrimination unit (Sections 4.2.1, 5.1.2):
 //! hardware-based weighted integration and thresholding of readout traces,
 //! replacing the slow software path so real-time feedback is possible.
+//!
+//! A readout trace is the projected state's noiseless template plus
+//! `noise_sigma` times one standard-normal draw per sample (see
+//! [`quma_qsim::resonator`]). Calibration already synthesizes both
+//! templates to derive the weights, so the unit keeps them and
+//! discriminates a window from the chip's outcome and noise draws alone:
+//! each sample is rebuilt, digitized by the acquisition ADC and weighted
+//! in one pass, in sample order. That is the same f64 arithmetic as
+//! synthesizing the trace, digitizing it and integrating it — the result
+//! is bit for bit the same — without a trace or a cosine per sample.
 
-use quma_qsim::resonator::{Discriminator, ReadoutParams, ReadoutTrace};
+use quma_qsim::resonator::{synthesize_trace, Discriminator, ReadoutParams};
 use quma_signal::adc::Adc;
 
 /// A completed discrimination: the integrated value and the binary result.
@@ -14,48 +24,30 @@ pub struct Discrimination {
     pub bit: u8,
 }
 
-/// The MDU for one qubit: digitizes the incoming analog trace with the
-/// acquisition ADC, integrates against the calibrated weight function, and
-/// thresholds.
+/// The MDU calibration for one readout chain and integration window:
+/// digitizes each sample with the acquisition ADC, integrates against the
+/// calibrated weight function, and thresholds. Immutable once calibrated,
+/// so qubits with identical readout chains share one unit.
 #[derive(Debug, Clone)]
 pub struct MeasurementDiscriminationUnit {
     discriminator: Discriminator,
+    /// Noiseless traces for `|0⟩` and `|1⟩` (the calibration run).
+    templates: [Vec<f64>; 2],
+    noise_sigma: f64,
     adc: Adc,
-    /// Processing latency in cycles from end-of-trace to result-valid
-    /// (the paper reports total readout latency < 1 µs on their FPGA).
-    latency_cycles: u32,
-    /// Trace latched by the most recent measurement pulse, awaiting an MD
-    /// trigger.
-    latched: Option<ReadoutTrace>,
-    discriminations: u64,
 }
-
-/// Error: an MD trigger arrived with no latched measurement trace (an MD
-/// without a preceding MPG).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NoTraceLatched;
-
-impl std::fmt::Display for NoTraceLatched {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "MD trigger with no latched measurement trace (missing MPG?)"
-        )
-    }
-}
-
-impl std::error::Error for NoTraceLatched {}
 
 impl MeasurementDiscriminationUnit {
     /// Calibrates an MDU for a readout chain, integrating traces of
     /// `integration_time` seconds.
-    pub fn calibrate(readout: &ReadoutParams, integration_time: f64, latency_cycles: u32) -> Self {
+    pub fn calibrate(readout: &ReadoutParams, integration_time: f64) -> Self {
+        let t0 = synthesize_trace(readout, 0, integration_time, || 0.0).samples;
+        let t1 = synthesize_trace(readout, 1, integration_time, || 0.0).samples;
         Self {
-            discriminator: Discriminator::calibrate(readout, integration_time),
+            discriminator: Discriminator::from_templates(&t0, &t1),
+            templates: [t0, t1],
+            noise_sigma: readout.noise_sigma,
             adc: Adc::paper_acquisition(),
-            latency_cycles,
-            latched: None,
-            discriminations: 0,
         }
     }
 
@@ -65,108 +57,98 @@ impl MeasurementDiscriminationUnit {
         &self.discriminator
     }
 
-    /// Result latency in cycles after the integration window closes.
-    pub fn latency_cycles(&self) -> u32 {
-        self.latency_cycles
-    }
-
-    /// Number of completed discriminations.
-    pub fn discriminations(&self) -> u64 {
-        self.discriminations
-    }
-
-    /// Latches the analog trace produced by a measurement pulse.
-    pub fn latch_trace(&mut self, trace: ReadoutTrace) {
-        self.latched = Some(trace);
-    }
-
-    /// True when a trace is waiting for discrimination.
-    pub fn has_trace(&self) -> bool {
-        self.latched.is_some()
-    }
-
-    /// Runs the discrimination on the latched trace (consuming it):
-    /// digitize → weighted integrate → threshold.
-    pub fn discriminate(&mut self) -> Result<Discrimination, NoTraceLatched> {
-        let trace = self.latched.take().ok_or(NoTraceLatched)?;
-        let digitized = ReadoutTrace {
-            samples: self.adc.digitize(&trace.samples),
-            sample_period: trace.sample_period,
-            f_if: trace.f_if,
-        };
-        let s = self.discriminator.integrate(&digitized);
+    /// Discriminates one window from the chip's projected `outcome` and
+    /// its per-sample standard-normal readout `noise`: digitize → weighted
+    /// integrate → threshold, over the samples `template[k] + σ·noise[k]`.
+    pub fn discriminate(&self, outcome: u8, noise: &[f64]) -> Discrimination {
+        let template = &self.templates[usize::from(outcome)];
+        debug_assert_eq!(noise.len(), template.len(), "one noise draw per sample");
+        let s = template
+            .iter()
+            .zip(noise)
+            .zip(&self.discriminator.weights)
+            .map(|((v, n), w)| self.adc.to_volts(self.adc.sample(v + self.noise_sigma * n)) * w)
+            .sum();
         let bit = u8::from(s > self.discriminator.threshold);
-        self.discriminations += 1;
-        Ok(Discrimination { s, bit })
+        Discrimination { s, bit }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use quma_qsim::resonator::synthesize_trace;
+    use quma_qsim::resonator::ReadoutTrace;
 
-    fn unit() -> (ReadoutParams, MeasurementDiscriminationUnit) {
-        let p = ReadoutParams::paper_default();
-        let mdu = MeasurementDiscriminationUnit::calibrate(&p, 1.5e-6, 60);
-        (p, mdu)
+    /// The reference path the unit replaces: synthesize the trace,
+    /// digitize it, integrate it.
+    fn via_trace(p: &ReadoutParams, outcome: u8, noise: &[f64], window: f64) -> f64 {
+        let mut draws = noise.iter().copied();
+        let trace = synthesize_trace(p, outcome, window, || draws.next().unwrap());
+        let adc = Adc::paper_acquisition();
+        let digitized = ReadoutTrace {
+            samples: adc.digitize(&trace.samples),
+            ..trace
+        };
+        Discriminator::calibrate(p, window).integrate(&digitized)
+    }
+
+    fn lcg(mut seed: u64) -> impl FnMut() -> f64 {
+        move || {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((seed >> 33) as f64 / (1u64 << 31) as f64) - 1.0
+        }
     }
 
     #[test]
     fn discriminates_noiseless_states() {
         let p = ReadoutParams::noiseless();
-        let mut mdu = MeasurementDiscriminationUnit::calibrate(&p, 1.5e-6, 60);
+        let mdu = MeasurementDiscriminationUnit::calibrate(&p, 1.5e-6);
+        let quiet = vec![0.0; p.samples_in(1.5e-6)];
         for s in [0u8, 1u8] {
-            mdu.latch_trace(synthesize_trace(&p, s, 1.5e-6, || 0.0));
-            let d = mdu.discriminate().unwrap();
-            assert_eq!(d.bit, s);
+            assert_eq!(mdu.discriminate(s, &quiet).bit, s);
         }
-        assert_eq!(mdu.discriminations(), 2);
     }
 
     #[test]
     fn discriminates_noisy_states_reliably() {
-        let (p, mut mdu) = unit();
-        let mut seed = 77u64;
-        let mut lcg = move || {
-            seed = seed
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((seed >> 33) as f64 / (1u64 << 31) as f64) - 1.0
-        };
+        let p = ReadoutParams::paper_default();
+        let mdu = MeasurementDiscriminationUnit::calibrate(&p, 1.5e-6);
+        let mut draw = lcg(77);
         for round in 0..40 {
             for s in [0u8, 1u8] {
-                mdu.latch_trace(synthesize_trace(&p, s, 1.5e-6, &mut lcg));
-                let d = mdu.discriminate().unwrap();
-                assert_eq!(d.bit, s, "round {round}, state {s}");
+                let noise: Vec<f64> = (0..1500).map(|_| draw()).collect();
+                assert_eq!(mdu.discriminate(s, &noise).bit, s, "round {round}");
             }
         }
     }
 
     #[test]
-    fn md_without_mpg_is_an_error() {
-        let (_, mut mdu) = unit();
-        assert_eq!(mdu.discriminate(), Err(NoTraceLatched));
-    }
-
-    #[test]
-    fn trace_is_consumed() {
-        let (p, mut mdu) = unit();
-        mdu.latch_trace(synthesize_trace(&p, 0, 1.5e-6, || 0.0));
-        assert!(mdu.has_trace());
-        mdu.discriminate().unwrap();
-        assert!(!mdu.has_trace());
-        assert_eq!(mdu.discriminate(), Err(NoTraceLatched));
+    fn matches_synthesize_digitize_integrate_bit_for_bit() {
+        // Odd and even windows, both states, a noisy and a noiseless
+        // chain (the noiseless one exercises the signed-zero samples).
+        let mut draw = lcg(5);
+        for p in [ReadoutParams::paper_default(), ReadoutParams::noiseless()] {
+            for window in [1.5e-6, 0.385e-6] {
+                let mdu = MeasurementDiscriminationUnit::calibrate(&p, window);
+                for s in [0u8, 1u8] {
+                    let noise: Vec<f64> = (0..p.samples_in(window)).map(|_| 4.0 * draw()).collect();
+                    let got = mdu.discriminate(s, &noise).s;
+                    let want = via_trace(&p, s, &noise, window);
+                    assert_eq!(got.to_bits(), want.to_bits(), "state {s}, window {window}");
+                }
+            }
+        }
     }
 
     #[test]
     fn integration_value_is_monotone_in_state() {
         let p = ReadoutParams::noiseless();
-        let mut mdu = MeasurementDiscriminationUnit::calibrate(&p, 1.0e-6, 0);
-        mdu.latch_trace(synthesize_trace(&p, 0, 1.0e-6, || 0.0));
-        let s0 = mdu.discriminate().unwrap().s;
-        mdu.latch_trace(synthesize_trace(&p, 1, 1.0e-6, || 0.0));
-        let s1 = mdu.discriminate().unwrap().s;
+        let mdu = MeasurementDiscriminationUnit::calibrate(&p, 1.0e-6);
+        let quiet = vec![0.0; p.samples_in(1.0e-6)];
+        let s0 = mdu.discriminate(0, &quiet).s;
+        let s1 = mdu.discriminate(1, &quiet).s;
         assert!(s1 > s0, "matched filter orients 1 above 0");
         let t = mdu.discriminator().threshold;
         assert!(s0 < t && t < s1);

@@ -13,15 +13,15 @@ use crate::ctpg::{Ctpg, PulseLibraryBuilder};
 use crate::device::{DeviceError, MdRecord};
 use crate::digital_out::DigitalOutputUnit;
 use crate::event::Event;
-use crate::mdu::MeasurementDiscriminationUnit;
+use crate::mdu::{Discrimination, MeasurementDiscriminationUnit};
 use crate::timing::{TimingControlUnit, TimingStats};
 use crate::trace::{Trace, TraceKind, TraceLevel};
 use crate::uop_unit::{seq_z, MicroOpUnit};
 use quma_isa::prelude::Reg;
 use quma_qsim::chip::{ChipBackend, QuantumChip};
-use quma_qsim::resonator::{ReadoutParams, ReadoutTrace};
+use quma_qsim::resonator::ReadoutParams;
 use quma_qsim::stabilizer::StabilizerChip;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// A chip-facing action with its effect cycle, ordered before execution.
 #[derive(Debug)]
@@ -34,6 +34,7 @@ enum ChipAction {
     },
     Measure {
         qubit: usize,
+        window: u64,
         duration_cycles: u32,
         at: u64,
     },
@@ -54,13 +55,34 @@ impl ChipAction {
     }
 }
 
-/// A scheduled result write-back.
+/// A scheduled result write-back: the MD's destination and the window it
+/// was issued with.
 #[derive(Debug, Clone, Copy)]
 struct Writeback {
     qubit: usize,
     rd: Option<Reg>,
-    bit: u8,
-    s: f64,
+    window: u64,
+}
+
+/// A measurement window opened by an MPG on one qubit.
+#[derive(Debug, Clone, Copy)]
+struct Window {
+    /// MPG sequence number this run (1-based, across all qubits).
+    id: u64,
+    duration_cycles: u32,
+    /// Claimed by an MD; a window reports to at most one MD.
+    bound: bool,
+    /// Latched when the chip plays the window.
+    result: Option<Discrimination>,
+}
+
+/// One MDU calibration, shared by every qubit whose readout chain it
+/// matches.
+#[derive(Debug, Clone)]
+struct Calibration {
+    readout: ReadoutParams,
+    duration_cycles: u32,
+    mdu: MeasurementDiscriminationUnit,
 }
 
 /// The deterministic half of the pipeline.
@@ -70,11 +92,17 @@ pub struct Backend {
     uop_units: Vec<MicroOpUnit>,
     ctpgs: Vec<Ctpg>,
     chip: Box<dyn ChipBackend>,
-    /// Per-qubit MDU calibration cache, keyed by integration duration and
-    /// tagged with the readout parameters it was calibrated against (a
-    /// parameter change between batches invalidates the entry).
-    mdus: Vec<HashMap<u32, (ReadoutParams, MeasurementDiscriminationUnit)>>,
-    latched: Vec<Option<(ReadoutTrace, u32)>>,
+    /// MDU calibrations keyed by `(readout chain, window)`: qubits with
+    /// identical chains share one, and a retuned chain recalibrates.
+    calibrations: Vec<Calibration>,
+    /// Readout-noise buffer the chip fills per measurement (reused, so a
+    /// steady-state measurement allocates nothing).
+    noise: Vec<f64>,
+    /// Windows opened this run (the last window id).
+    opened: u64,
+    /// Per qubit: the latest window plus any earlier ones an MD still
+    /// awaits, in MPG order.
+    windows: Vec<Vec<Window>>,
     collectors: Vec<DataCollector>,
     digital_out: DigitalOutputUnit,
     writebacks: BTreeMap<u64, Vec<Writeback>>,
@@ -112,8 +140,10 @@ impl Backend {
             uop_units: Vec::new(),
             ctpgs: Vec::new(),
             chip,
-            mdus: vec![HashMap::new(); config.num_qubits],
-            latched: vec![None; config.num_qubits],
+            calibrations: Vec::new(),
+            noise: Vec::new(),
+            opened: 0,
+            windows: vec![Vec::new(); config.num_qubits],
             collectors: (0..config.num_qubits)
                 .map(|_| DataCollector::new(config.collector_k))
                 .collect(),
@@ -149,8 +179,9 @@ impl Backend {
     /// pulse libraries, µ-op definitions, and MDU calibration cache.
     pub fn reset(&mut self, config: &DeviceConfig) {
         self.tcu = TimingControlUnit::new(config.queue_capacity);
+        self.opened = 0;
         for q in 0..config.num_qubits {
-            self.latched[q] = None;
+            self.windows[q].clear();
             self.collectors[q].reset();
             self.last_chip_cycle[q] = 0;
             self.ctpgs[q].reset_triggers();
@@ -312,8 +343,20 @@ impl Backend {
                     self.digital_out.assert_channels(qubits, ev.td, duration);
                     let at = start + ev.td + u64::from(config.msmt_trigger_delay_cycles);
                     for q in qubits.iter() {
+                        self.opened += 1;
+                        let id = self.opened;
+                        // An unclaimed earlier window can never be claimed
+                        // now: an MD binds the latest window only.
+                        self.windows[q].retain(|w| w.bound);
+                        self.windows[q].push(Window {
+                            id,
+                            duration_cycles: duration,
+                            bound: false,
+                            result: None,
+                        });
                         actions.push(ChipAction::Measure {
                             qubit: q,
+                            window: id,
                             duration_cycles: duration,
                             at,
                         });
@@ -322,39 +365,23 @@ impl Backend {
                 Event::Md { qubits, rd } => {
                     self.trace.record(ev.td, TraceKind::MdStart { qubits });
                     for q in qubits.iter() {
-                        // Discrimination runs when the integration window
-                        // (opened by the matching MPG at the same label)
-                        // closes; defer via the writeback schedule. The
-                        // latched trace is bound at completion time.
-                        let (duration, _) = match &self.latched[q] {
-                            Some((_, d)) => ((*d), ()),
-                            None => {
-                                // The matching MPG may be in this same batch
-                                // (same label fires MPG before MD); the
-                                // measure action is pending in `actions`.
-                                let pending = actions.iter().rev().find_map(|a| match a {
-                                    ChipAction::Measure {
-                                        qubit,
-                                        duration_cycles,
-                                        ..
-                                    } if *qubit == q => Some(*duration_cycles),
-                                    _ => None,
-                                });
-                                match pending {
-                                    Some(d) => (d, ()),
-                                    None => {
-                                        return Err(DeviceError::MdWithoutMpg {
-                                            qubit: q,
-                                            td: ev.td,
-                                        })
-                                    }
-                                }
+                        // The MD binds the qubit's latest window (its MPG
+                        // fired at or before this label) and reports when
+                        // that window closes.
+                        let window = match self.windows[q].last_mut() {
+                            Some(w) if !w.bound => w,
+                            _ => {
+                                return Err(DeviceError::MdWithoutMpg {
+                                    qubit: q,
+                                    td: ev.td,
+                                })
                             }
                         };
+                        window.bound = true;
                         let complete = start
                             + ev.td
                             + u64::from(config.msmt_trigger_delay_cycles)
-                            + u64::from(duration)
+                            + u64::from(window.duration_cycles)
                             + u64::from(config.mdu_latency_cycles);
                         self.writebacks
                             .entry(complete)
@@ -362,8 +389,7 @@ impl Backend {
                             .push(Writeback {
                                 qubit: q,
                                 rd,
-                                bit: 0, // filled at completion
-                                s: 0.0,
+                                window: window.id,
                             });
                     }
                 }
@@ -429,14 +455,24 @@ impl Backend {
                 }
                 ChipAction::Measure {
                     qubit,
+                    window,
                     duration_cycles,
                     at,
                 } => {
                     self.measurements += 1;
                     let t0 = at as f64 * config.cycle_time;
                     let dur = f64::from(duration_cycles) * config.cycle_time;
-                    let trace = self.chip.measure(qubit, t0, dur);
-                    self.latched[qubit] = Some((trace, duration_cycles));
+                    let outcome = self.chip.measure_into(qubit, t0, dur, &mut self.noise);
+                    // Discriminate now and latch the result on its window;
+                    // the MD reports it at the unchanged write-back cycle.
+                    // A window superseded before any MD claimed it is gone.
+                    if let Some(i) = self.windows[qubit].iter().position(|w| w.id == window) {
+                        let cal = self.calibration(qubit, duration_cycles, config);
+                        let d = self.calibrations[cal]
+                            .mdu
+                            .discriminate(outcome, &self.noise);
+                        self.windows[qubit][i].result = Some(d);
+                    }
                 }
                 ChipAction::Cz { a, b, at } => {
                     let t0 = at as f64 * config.cycle_time;
@@ -449,36 +485,26 @@ impl Backend {
         Ok(())
     }
 
-    /// Completes every write-back due by `cycle`: binds the latched trace,
-    /// runs the MDU, records collector and trace entries, and returns the
-    /// `(register, value)` completions that must cross back to the
-    /// frontend's scoreboard.
-    pub fn apply_writebacks(
-        &mut self,
-        cycle: u64,
-        config: &DeviceConfig,
-    ) -> Result<Vec<(Reg, i32)>, DeviceError> {
+    /// Completes every write-back due by `cycle`: takes the discrimination
+    /// latched on the MD's window, records collector and trace entries,
+    /// and returns the `(register, value)` completions that must cross
+    /// back to the frontend's scoreboard.
+    pub fn apply_writebacks(&mut self, cycle: u64) -> Result<Vec<(Reg, i32)>, DeviceError> {
         let due: Vec<u64> = self.writebacks.range(..=cycle).map(|(&c, _)| c).collect();
         let mut completions = Vec::new();
         for c in due {
             let wbs = self.writebacks.remove(&c).expect("key exists");
-            for mut wb in wbs {
-                // Bind the latched trace now: the integration window has
-                // closed.
-                let start = self.td_start.unwrap_or(0);
-                let (trace, duration) =
-                    self.latched[wb.qubit]
-                        .take()
-                        .ok_or(DeviceError::MdWithoutMpg {
-                            qubit: wb.qubit,
-                            td: c.saturating_sub(start),
-                        })?;
-                let mdu = self.mdu_for(wb.qubit, duration, config);
-                mdu.latch_trace(trace);
-                let d = mdu.discriminate().expect("trace latched above");
-                wb.bit = d.bit;
-                wb.s = d.s;
-                let td = c.saturating_sub(start);
+            for wb in wbs {
+                let td = c.saturating_sub(self.td_start.unwrap_or(0));
+                let open = &mut self.windows[wb.qubit];
+                let d = open
+                    .iter()
+                    .position(|w| w.id == wb.window)
+                    .and_then(|i| open.remove(i).result)
+                    .ok_or(DeviceError::MdWithoutMpg {
+                        qubit: wb.qubit,
+                        td,
+                    })?;
                 if let Some(rd) = wb.rd {
                     completions.push((rd, i32::from(d.bit)));
                 }
@@ -503,27 +529,29 @@ impl Backend {
         Ok(completions)
     }
 
-    fn mdu_for(
-        &mut self,
-        qubit: usize,
-        duration_cycles: u32,
-        config: &DeviceConfig,
-    ) -> &mut MeasurementDiscriminationUnit {
-        let readout = self.chip.qubit(qubit).readout.clone();
-        let integration = f64::from(duration_cycles) * config.cycle_time;
-        let latency = config.mdu_latency_cycles;
-        let entry = self.mdus[qubit].entry(duration_cycles).or_insert_with(|| {
-            let mdu = MeasurementDiscriminationUnit::calibrate(&readout, integration, latency);
-            (readout.clone(), mdu)
-        });
-        // The readout chain may have been retuned between batches (e.g.
-        // noise injection through `device_mut`); a stale calibration would
-        // silently diverge from what a fresh device computes.
-        if entry.0 != readout {
-            entry.1 = MeasurementDiscriminationUnit::calibrate(&readout, integration, latency);
-            entry.0 = readout;
+    /// Index of the calibration for `qubit`'s current readout chain and a
+    /// `duration_cycles` window, calibrating on a miss. A miss also drops
+    /// calibrations no qubit's chain matches any more, so retunes through
+    /// `device_mut` cannot grow the cache without bound.
+    fn calibration(&mut self, qubit: usize, duration_cycles: u32, config: &DeviceConfig) -> usize {
+        let chip = self.chip.as_ref();
+        let readout = &chip.qubit(qubit).readout;
+        if let Some(i) = self
+            .calibrations
+            .iter()
+            .position(|c| c.duration_cycles == duration_cycles && c.readout == *readout)
+        {
+            return i;
         }
-        &mut entry.1
+        self.calibrations
+            .retain(|c| (0..chip.num_qubits()).any(|q| chip.qubit(q).readout == c.readout));
+        let integration = f64::from(duration_cycles) * config.cycle_time;
+        self.calibrations.push(Calibration {
+            readout: readout.clone(),
+            duration_cycles,
+            mdu: MeasurementDiscriminationUnit::calibrate(readout, integration),
+        });
+        self.calibrations.len() - 1
     }
 
     /// Final deterministic-domain time.
@@ -539,6 +567,12 @@ impl Backend {
     /// Codeword triggers delivered per CTPG this run.
     pub fn ctpg_triggers(&self) -> Vec<u64> {
         self.ctpgs.iter().map(Ctpg::triggers).collect()
+    }
+
+    /// Number of cached MDU calibrations.
+    #[cfg(test)]
+    pub(crate) fn calibration_count(&self) -> usize {
+        self.calibrations.len()
     }
 
     /// Measurement pulses played this run.

@@ -13,8 +13,8 @@
 //! * [`backend::Backend`] — the deterministic side: the timing control
 //!   unit fires events at exact `T_D` cycles, µ-op units expand them to
 //!   codeword triggers, CTPGs convert codewords to analog pulses with the
-//!   fixed 80 ns delay, the chip evolves, and MDUs integrate readout
-//!   traces into results that write back across the domain boundary.
+//!   fixed 80 ns delay, the chip evolves, and MDUs integrate each readout
+//!   window into a result that writes back across the domain boundary.
 //!
 //! [`crate::device::Device`] is a thin composition that steps the two
 //! domains against a shared host-cycle clock; the only traffic between

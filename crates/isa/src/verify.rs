@@ -41,8 +41,8 @@ pub enum DiagnosticKind {
         /// The required alignment in cycles.
         alignment: u32,
     },
-    /// More `MD` than `MPG` instructions address a qubit: some
-    /// discrimination will find no latched trace and fault.
+    /// More `MD` than `MPG` instructions address a qubit: some `MD` will
+    /// find no measurement window of its own and fault.
     MdWithoutMpg {
         /// The qubit.
         qubit: usize,
@@ -93,8 +93,8 @@ impl std::fmt::Display for Diagnostic {
             ),
             DiagnosticKind::MdWithoutMpg { qubit, mpg, md } => write!(
                 f,
-                "qubit {qubit}: {md} MD vs {mpg} MPG — discrimination may \
-                 find no latched trace"
+                "qubit {qubit}: {md} MD vs {mpg} MPG — an MD may find no \
+                 measurement window"
             ),
         }
     }

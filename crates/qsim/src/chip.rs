@@ -4,9 +4,10 @@
 //!
 //! The chip is the boundary of the QuMA simulation: the control box sends
 //! it DAC sample streams (gate pulses) and measurement-pulse triggers, and
-//! receives heterodyne readout traces in return. All randomness (projection
-//! noise, readout noise) is drawn from a seedable RNG so whole experiments
-//! are reproducible.
+//! receives the projected outcome plus the window's readout noise in
+//! return — everything the heterodyne trace is made of (see
+//! [`ChipBackend`]). All randomness (projection noise, readout noise) is
+//! drawn from a seedable RNG so whole experiments are reproducible.
 //!
 //! ## Joint registers along the coupling chain
 //!
@@ -343,27 +344,23 @@ impl QuantumChip {
 
     /// Plays a measurement pulse on qubit `id` at lab time `start` for
     /// `duration` seconds: projects the qubit and returns the heterodyne
-    /// trace the ADCs would digitize.
+    /// trace the ADCs would digitize (the trace view of
+    /// [`ChipBackend::measure_into`]).
     pub fn measure(&mut self, id: QubitId, start: f64, duration: f64) -> ReadoutTrace {
-        self.measure_with_truth(id, start, duration).0
+        ChipBackend::measure(self, id, start, duration)
     }
 
-    /// Like [`Self::measure`] but also reports the projected outcome, for
-    /// tests that want ground truth alongside the analog trace.
+    /// Projects qubit `id` at lab time `start` (one uniform draw) and
+    /// idles it through the `duration`-second readout window.
     ///
     /// When `id` belongs to a joint register, the projection factors it
     /// out exactly: the qubit returns to single-qubit evolution (its
     /// transmon holds the post-measurement state) and the register
     /// shrinks — dissolving entirely when only one member remains.
-    pub fn measure_with_truth(
-        &mut self,
-        id: QubitId,
-        start: f64,
-        duration: f64,
-    ) -> (ReadoutTrace, u8) {
+    fn project(&mut self, id: QubitId, start: f64, duration: f64) -> u8 {
         self.measurements += 1;
         let u: f64 = self.rng.random();
-        let outcome = match self.membership[id] {
+        match self.membership[id] {
             None => {
                 let q = &mut self.qubits[id];
                 q.transmon.idle_until(start);
@@ -388,11 +385,7 @@ impl QuantumChip {
                 // simultaneous syndrome fanout at this same `start`).
                 outcome
             }
-        };
-        let readout = self.qubits[id].readout.clone();
-        let mut gauss = GaussianSource::new(&mut self.rng);
-        let trace = synthesize_trace(&readout, outcome, duration, || gauss.next());
-        (trace, outcome)
+        }
     }
 
     /// Returns the just-projected qubit `id` from register `j` to
@@ -417,18 +410,26 @@ impl QuantumChip {
 }
 
 /// The chip-simulation boundary the control pipeline drives: DAC sample
-/// streams and measurement triggers in, heterodyne readout traces out.
+/// streams and measurement triggers in, projection plus readout noise out.
 ///
 /// `quma-core`'s deterministic backend holds a `Box<dyn ChipBackend>` so
 /// the device profile can select the physics engine: the exact
 /// state-vector [`QuantumChip`] (any circuit, `O(4^k)` per coupled
 /// register) or the polynomial-time
-/// [`crate::stabilizer::StabilizerChip`] (Clifford circuits only). Every
+/// [`crate::stabilizer::StabilizerChip`] (Clifford circuits only).
+///
+/// A measurement ([`Self::measure_into`]) returns the projected outcome
+/// and the window's standard-normal readout noise, not a trace: the
+/// heterodyne trace is fully determined by the outcome's noiseless
+/// template plus `noise_sigma` times that noise, so the control box's
+/// discrimination unit integrates its cached templates instead
+/// ([`Self::measure`] rebuilds the trace for callers that want it). Every
 /// implementation must consume its seeded RNG in the same order — one
-/// uniform draw per projection, then one Gaussian per trace sample — so
-/// seeded shots replay bit-identically across backends; new backends are
-/// pinned to that contract by a differential test suite against the
-/// exact chip (see `CONTRIBUTING.md`).
+/// uniform draw per projection, then one Gaussian per trace sample from a
+/// fresh Box–Muller source — so seeded shots replay bit-identically
+/// across backends; new backends are pinned to that contract by a
+/// differential test suite against the exact chip (see
+/// `CONTRIBUTING.md`).
 pub trait ChipBackend: Send + std::fmt::Debug {
     /// Number of qubits on the device.
     fn num_qubits(&self) -> usize;
@@ -461,14 +462,30 @@ pub trait ChipBackend: Send + std::fmt::Debug {
     /// at absolute lab time `start` with sample period `dt`.
     fn drive(&mut self, id: QubitId, samples: &[C64], start: f64, dt: f64);
 
-    /// Plays a measurement pulse: projects the qubit and returns the
-    /// heterodyne trace the ADCs would digitize.
+    /// Plays a measurement pulse on qubit `id` at lab time `start` for
+    /// `duration` seconds: projects the qubit (one uniform draw), replaces
+    /// the contents of `noise` with the window's standard-normal readout
+    /// noise (one draw per trace sample, from a fresh Box–Muller source),
+    /// and returns the projected outcome.
+    fn measure_into(&mut self, id: QubitId, start: f64, duration: f64, noise: &mut Vec<f64>) -> u8;
+
+    /// Plays a measurement pulse and returns the heterodyne trace the ADCs
+    /// would digitize.
     fn measure(&mut self, id: QubitId, start: f64, duration: f64) -> ReadoutTrace {
         self.measure_with_truth(id, start, duration).0
     }
 
-    /// Like [`Self::measure`] but also reports the projected outcome.
-    fn measure_with_truth(&mut self, id: QubitId, start: f64, duration: f64) -> (ReadoutTrace, u8);
+    /// Like [`Self::measure`] but also reports the projected outcome: the
+    /// trace view of [`Self::measure_into`], bit for bit.
+    fn measure_with_truth(&mut self, id: QubitId, start: f64, duration: f64) -> (ReadoutTrace, u8) {
+        let mut noise = Vec::new();
+        let outcome = self.measure_into(id, start, duration, &mut noise);
+        let mut draws = noise.into_iter();
+        let trace = synthesize_trace(&self.qubit(id).readout, outcome, duration, || {
+            draws.next().expect("one noise draw per trace sample")
+        });
+        (trace, outcome)
+    }
 
     /// Clones the backend behind the trait object (shot sharding clones
     /// whole devices).
@@ -518,17 +535,31 @@ impl ChipBackend for QuantumChip {
         QuantumChip::drive(self, id, samples, start, dt);
     }
 
-    fn measure(&mut self, id: QubitId, start: f64, duration: f64) -> ReadoutTrace {
-        QuantumChip::measure(self, id, start, duration)
-    }
-
-    fn measure_with_truth(&mut self, id: QubitId, start: f64, duration: f64) -> (ReadoutTrace, u8) {
-        QuantumChip::measure_with_truth(self, id, start, duration)
+    fn measure_into(&mut self, id: QubitId, start: f64, duration: f64, noise: &mut Vec<f64>) -> u8 {
+        let outcome = self.project(id, start, duration);
+        draw_readout_noise(&mut self.rng, &self.qubits[id].readout, duration, noise);
+        outcome
     }
 
     fn clone_box(&self) -> Box<dyn ChipBackend> {
         Box::new(self.clone())
     }
+}
+
+/// Replaces the contents of `noise` with the standard-normal readout noise
+/// of one `duration`-second window on `readout`: one draw per trace sample
+/// from a fresh Box–Muller source (the unused half of the last pair is
+/// discarded when the sample count is odd). This is the readout half of
+/// the [`ChipBackend`] RNG contract; every backend draws through it.
+pub(crate) fn draw_readout_noise(
+    rng: &mut StdRng,
+    readout: &ReadoutParams,
+    duration: f64,
+    noise: &mut Vec<f64>,
+) {
+    let mut gauss = GaussianSource::new(rng);
+    noise.clear();
+    noise.extend((0..readout.samples_in(duration)).map(|_| gauss.next()));
 }
 
 /// Box–Muller standard-normal source over a borrowed RNG. Shared with

@@ -11,6 +11,15 @@
 //! frequency for each qubit state from a Lorentzian line shape with a
 //! dispersive shift `2χ`, then synthesizes the demodulated IF trace with
 //! additive Gaussian noise — the same signal the paper's 8-bit ADCs digitize.
+//!
+//! A trace is a noiseless per-state template plus `noise_sigma` times one
+//! standard-normal draw per sample, and the template is exactly what
+//! [`synthesize_trace`] returns for an all-zero noise stream. The control
+//! pipeline relies on that split: the chip hands out only the projected
+//! outcome and the window's noise draws, and the measurement
+//! discrimination unit integrates the cached calibration template plus
+//! that noise without ever building the trace. [`synthesize_trace`] stays
+//! the reference view for tests and for `ChipBackend::measure`.
 
 use crate::complex::C64;
 
@@ -75,6 +84,11 @@ impl ReadoutParams {
         C64::real(1.0) - half_kappa * denom.recip()
     }
 
+    /// Number of ADC samples in a readout window of `duration` seconds.
+    pub fn samples_in(&self, duration: f64) -> usize {
+        (duration * self.sample_rate).round() as usize
+    }
+
     /// Separation between the two transmission points in the IQ plane;
     /// readout SNR is `separation / noise_sigma` per sample.
     pub fn iq_separation(&self) -> f64 {
@@ -110,7 +124,7 @@ pub fn synthesize_trace(
     duration: f64,
     mut noise: impl FnMut() -> f64,
 ) -> ReadoutTrace {
-    let n = (duration * params.sample_rate).round() as usize;
+    let n = params.samples_in(duration);
     let dt = 1.0 / params.sample_rate;
     let s21 = params.transmission(s);
     let amp = s21.abs();
@@ -151,14 +165,15 @@ impl Discriminator {
     pub fn calibrate(params: &ReadoutParams, duration: f64) -> Self {
         let t0 = synthesize_trace(params, 0, duration, || 0.0);
         let t1 = synthesize_trace(params, 1, duration, || 0.0);
-        let weights: Vec<f64> = t1
-            .samples
-            .iter()
-            .zip(t0.samples.iter())
-            .map(|(a, b)| a - b)
-            .collect();
-        let s0 = integrate(&t0.samples, &weights);
-        let s1 = integrate(&t1.samples, &weights);
+        Self::from_templates(&t0.samples, &t1.samples)
+    }
+
+    /// Calibrates from the two noiseless traces (the state-0 and state-1
+    /// templates) directly.
+    pub fn from_templates(t0: &[f64], t1: &[f64]) -> Self {
+        let weights: Vec<f64> = t1.iter().zip(t0.iter()).map(|(a, b)| a - b).collect();
+        let s0 = integrate(t0, &weights);
+        let s1 = integrate(t1, &weights);
         Self {
             weights,
             threshold: (s0 + s1) / 2.0,

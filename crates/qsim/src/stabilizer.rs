@@ -20,13 +20,14 @@
 //!   single-qubit Clifford unitaries. A non-Clifford pulse is a hard
 //!   error: this backend cannot represent it, and panicking beats
 //!   silently simulating the wrong circuit.
-//! * **RNG-stream compatibility** — [`StabilizerChip::measure_with_truth`]
+//! * **RNG-stream compatibility** — [`ChipBackend::measure_into`]
 //!   consumes the seeded RNG in *exactly* the order the exact chip does
 //!   (one uniform draw for the projection, then one Gaussian per trace
 //!   sample), so a shot replayed from a [`quma` `SeedPlan`] seed produces
-//!   bit-identical outcome streams and readout traces on both backends
-//!   for circuits where the outcome probabilities agree (they do for
-//!   Clifford circuits: every probability is exactly 0, ½, or 1).
+//!   bit-identical outcome streams and readout noise (hence traces) on
+//!   both backends for circuits where the outcome probabilities agree
+//!   (they do for Clifford circuits: every probability is exactly 0, ½,
+//!   or 1).
 //!
 //! On top of the tableau the chip keeps an explicit **Pauli error frame**:
 //! [`StabilizerChip::inject_x`] / [`StabilizerChip::inject_z`] fold an
@@ -36,11 +37,11 @@
 //!
 //! [Aaronson & Gottesman 2004]: https://arxiv.org/abs/quant-ph/0406196
 
-use crate::chip::{ChipBackend, ChipQubit, GaussianSource, QubitId};
+use crate::chip::{draw_readout_noise, ChipBackend, ChipQubit, QubitId};
 use crate::clifford::CliffordGroup;
 use crate::complex::C64;
 use crate::mat2::Mat2;
-use crate::resonator::{synthesize_trace, ReadoutParams, ReadoutTrace};
+use crate::resonator::ReadoutParams;
 use crate::transmon::{rotation_from_pulse, Transmon, TransmonParams};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -465,23 +466,21 @@ impl ChipBackend for StabilizerChip {
         }
     }
 
-    fn measure_with_truth(
+    fn measure_into(
         &mut self,
         id: QubitId,
         _start: f64,
         duration: f64,
-    ) -> (ReadoutTrace, u8) {
-        // Mirror QuantumChip::measure_with_truth's RNG consumption
-        // exactly: one uniform draw before the projection, then a fresh
-        // Gaussian source for the trace. This is what keeps seeded shots
-        // bit-identical across backends.
+        noise: &mut Vec<f64>,
+    ) -> u8 {
+        // Mirror QuantumChip's RNG consumption exactly: one uniform draw
+        // before the projection, then the window's readout noise. This is
+        // what keeps seeded shots bit-identical across backends.
         self.measurements += 1;
         let u: f64 = self.rng.random();
         let outcome = self.tableau.measure_with(id, u);
-        let readout = self.qubits[id].readout.clone();
-        let mut gauss = GaussianSource::new(&mut self.rng);
-        let trace = synthesize_trace(&readout, outcome, duration, || gauss.next());
-        (trace, outcome)
+        draw_readout_noise(&mut self.rng, &self.qubits[id].readout, duration, noise);
+        outcome
     }
 
     fn clone_box(&self) -> Box<dyn ChipBackend> {

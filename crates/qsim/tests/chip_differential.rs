@@ -3,7 +3,7 @@
 //! invariant that syndrome extraction leaves distant data qubits alone.
 
 use proptest::prelude::*;
-use quma_qsim::chip::QuantumChip;
+use quma_qsim::chip::{ChipBackend, QuantumChip};
 use quma_qsim::complex::C64;
 use quma_qsim::pair_reference::PairReferenceChip;
 use std::f64::consts::PI;

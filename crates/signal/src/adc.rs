@@ -25,11 +25,13 @@ impl Adc {
     }
 
     /// Number of output codes.
+    #[inline]
     pub fn levels(&self) -> u32 {
         1u32 << self.bits
     }
 
     /// Digitizes one sample to a signed code.
+    #[inline]
     pub fn sample(&self, v: f64) -> i32 {
         let half = (self.levels() / 2) as f64;
         let clipped = v.clamp(-self.full_scale, self.full_scale);
@@ -37,6 +39,7 @@ impl Adc {
     }
 
     /// Converts a code back to volts.
+    #[inline]
     pub fn to_volts(&self, code: i32) -> f64 {
         let half = (self.levels() / 2) as f64;
         code as f64 / half * self.full_scale

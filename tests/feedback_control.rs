@@ -132,3 +132,43 @@ fn accumulating_results_in_memory_matches_md_records() {
     );
     assert_eq!(report.md_results.len(), 8);
 }
+
+#[test]
+fn md_reports_the_window_it_was_issued_with() {
+    // The second MPG opens a new window on q0 before the first MD's
+    // result is written back. The MD must still report the first window
+    // (the qubit in |0⟩), not the later post-X180 one.
+    let overlapping = "\
+        Wait 40000
+        MPG {q0}, 300
+        MD {q0}, r7
+        Wait 310
+        Pulse {q0}, X180
+        Wait 4
+        MPG {q0}, 300
+        Wait 400
+        halt
+    ";
+    let alone = "\
+        Wait 40000
+        MPG {q0}, 300
+        MD {q0}, r7
+        Wait 400
+        halt
+    ";
+    let run = |src: &str| {
+        let mut dev = Device::new(DeviceConfig::default()).expect("valid config");
+        dev.run_assembly(src).expect("program runs")
+    };
+    let got = run(overlapping);
+    let want = run(alone);
+    assert_eq!(got.registers[7], 0, "r7 binds the |0⟩ window");
+    assert_eq!(got.md_results.len(), 1);
+    assert_eq!(got.md_results[0].bit, 0);
+    assert!(got.md_results[0].s < 0.0, "s = {}", got.md_results[0].s);
+    assert_eq!(
+        got.md_results[0].s.to_bits(),
+        want.md_results[0].s.to_bits()
+    );
+    assert_eq!(got.md_results[0].td, want.md_results[0].td);
+}
