@@ -151,7 +151,7 @@ impl std::fmt::Display for DeviceError {
             DeviceError::MdWithoutMpg { qubit, td } => {
                 write!(
                     f,
-                    "MD on qubit {qubit} at TD={td} with no measurement trace"
+                    "MD on qubit {qubit} at TD={td} with no measurement window of its own"
                 )
             }
             DeviceError::ChronologyViolation { qubit, at, last } => write!(
@@ -560,7 +560,7 @@ mod tests {
         let mut dev = device();
         let err = dev.run_assembly(src).unwrap_err();
         let msg = err.to_string();
-        assert!(msg.contains("no measurement trace"), "{msg}");
+        assert!(msg.contains("no measurement window of its own"), "{msg}");
     }
 
     #[test]

@@ -17,15 +17,15 @@
 //!   program state plus its seeds, and [`Session::execute`] runs any
 //!   sub-range of it with a cheap per-item reset ([`Device::reseed`]
 //!   plus the ordinary run reset) instead of reconstruction;
-//! * with more than one thread, `execute` shards the range across a
-//!   **persistent worker pool** owned by the session: workers are
-//!   spawned lazily on the first parallel call and reused across
-//!   batches, each keeping its device clone warm (re-cloned only after
-//!   [`Session::device_mut`] touches the owned device). Items are
-//!   dealt in contiguous blocks and every worker fills its own result
-//!   vector, so batches pay neither per-call thread spawns, per-call
-//!   device clones, nor false sharing — while per-item seeds keep the
-//!   results bit-identical to the sequential batch.
+//! * with more than one thread, `execute` shards the range on **scoped
+//!   threads over warm replicas, at most one per core**: contiguous
+//!   blocks, block 0 on the calling thread and the rest on
+//!   [`std::thread::scope`] threads, each on its own warm clone of the
+//!   owned device. The session makes those clones on the first call
+//!   that needs them and reuses them until [`Session::device_mut`]
+//!   touches the owned device, so batches never pay a per-call device
+//!   clone — while per-item seeds keep the results bit-identical to the
+//!   sequential batch. The engine owns no long-lived threads.
 //!
 //! Determinism contract: shot `i` of a batch is bit-identical to a freshly
 //! built device whose config carries the seeds of [`SeedPlan::shot`]`(i)`
@@ -33,11 +33,11 @@
 
 use crate::config::DeviceConfig;
 use crate::device::{Device, DeviceError, RunReport};
-use crossbeam::channel;
 use quma_isa::prelude::Program;
 use quma_isa::template::{PatchError, ProgramTemplate};
 use quma_obs::trace::{now_ns, SpanEvent, SpanKind, TraceBuffer, TraceId};
 use std::ops::Range;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 /// The two per-shot random seeds: the chip's projection/readout RNG and
@@ -100,8 +100,9 @@ pub fn resolve_threads(threads: usize, items: usize) -> usize {
 /// produces the same report — the property chunked streaming and
 /// checkpoint resume rely on.
 ///
-/// Cloning is cheap: programs and point lists are [`Arc`]-shared, so a
-/// clone per worker shard copies pointers, not instructions.
+/// Sharded blocks borrow the workload, so sharding copies nothing.
+/// Cloning is cheap too: programs and point lists are [`Arc`]-shared,
+/// so a clone copies pointers, not instructions.
 #[derive(Clone)]
 pub enum Workload {
     /// `count` derived-seed shots of one program: item `i` runs with
@@ -176,14 +177,14 @@ impl Workload {
     /// Runs `items` back to back on `device`: the per-item body every
     /// execution path shares. `session_plan` seeds shot batches that
     /// carry no plan of their own. A template sweep forks one private
-    /// copy of its working program per block. On failure, returns the
-    /// failing item's index with its error.
+    /// copy of its working program per block. Stops at the first failing
+    /// item.
     fn run_block(
         &self,
         device: &mut Device,
         items: Range<usize>,
         session_plan: SeedPlan,
-    ) -> Result<Vec<RunReport>, (usize, DeviceError)> {
+    ) -> Result<Vec<RunReport>, DeviceError> {
         let mut patched: Option<Program> = None;
         let mut reports = Vec::with_capacity(items.len());
         for i in items {
@@ -201,13 +202,13 @@ impl Workload {
                 Workload::TemplateSweep { working, points } => {
                     let working = patched.get_or_insert_with(|| Program::clone(working));
                     for (name, value) in &points[i].patches {
-                        working.patch(name, *value).map_err(|e| (i, e.into()))?;
+                        working.patch(name, *value)?;
                     }
                     (&*working, points[i].seeds)
                 }
             };
             device.reseed(seeds.chip, seeds.jitter);
-            reports.push(device.run(program).map_err(|e| (i, e))?);
+            reports.push(device.run(program)?);
         }
         Ok(reports)
     }
@@ -235,157 +236,6 @@ fn check_axis_sets(points: &[TemplatePoint], items: Range<usize>) -> Result<(), 
     Ok(())
 }
 
-/// What one persistent worker returns for its contiguous item block:
-/// the reports in item order, or the first failing item's index and
-/// error.
-type BlockResult = Result<Vec<RunReport>, (usize, DeviceError)>;
-
-/// A block of work shipped to a persistent engine worker: a fresh device
-/// clone when the caller marked the worker's warm one stale, plus the
-/// workload, the items to run on it and the session's seed plan.
-struct EngineTask {
-    refresh: Option<Device>,
-    work: Workload,
-    block: Range<usize>,
-    plan: SeedPlan,
-}
-
-/// One persistent worker thread plus the caller-side view of the warm
-/// device clone it holds.
-struct EngineWorker {
-    tasks: channel::Sender<EngineTask>,
-    results: channel::Receiver<BlockResult>,
-    /// Generation of the device clone the worker keeps warm (`None`
-    /// before its first task). When this lags the session's generation,
-    /// the next task carries a fresh clone.
-    generation: Option<u64>,
-    thread: std::thread::JoinHandle<()>,
-}
-
-fn spawn_engine_worker() -> EngineWorker {
-    let (task_tx, task_rx) = channel::unbounded::<EngineTask>();
-    let (result_tx, result_rx) = channel::unbounded::<BlockResult>();
-    let thread = std::thread::spawn(move || {
-        // The warm device clone, owned by the thread across batches.
-        let mut device: Option<Device> = None;
-        while let Ok(task) = task_rx.recv() {
-            if let Some(fresh) = task.refresh {
-                device = Some(fresh);
-            }
-            let device = device.as_mut().expect("warm device installed");
-            if result_tx
-                .send(task.work.run_block(device, task.block, task.plan))
-                .is_err()
-            {
-                break;
-            }
-        }
-    });
-    EngineWorker {
-        tasks: task_tx,
-        results: result_rx,
-        generation: None,
-        thread,
-    }
-}
-
-/// Persistent parallel shot workers, owned by a [`Session`].
-///
-/// The previous engine spawned fresh threads *and cloned the full
-/// device per worker* on every parallel call — with a per-core worker
-/// count that fixed overhead dwarfed small batches and never amortized.
-/// This pool spawns each worker once (lazily, on the first call that
-/// needs it) and keeps it alive across batches; workers keep their
-/// device clones warm and only re-clone when [`Session::device_mut`]
-/// has bumped the session's generation (per-shot reseeds make any
-/// run-to-run device state irrelevant — only parameter mutations
-/// matter, and those all flow through `device_mut`).
-///
-/// Items are dealt in contiguous blocks (worker `t` of `w` takes the
-/// `t`-th of `w` equal slices of the range) instead of stride-1
-/// interleave, and every worker appends into its own result vector — no
-/// shared result cache lines, and block concatenation preserves item
-/// order for free. On failure the *lowest-item-index* error is returned
-/// — the same error the sequential loop's early return would surface,
-/// since every item before it succeeds identically on both paths.
-#[derive(Default)]
-struct WorkerPool {
-    workers: Vec<EngineWorker>,
-}
-
-impl WorkerPool {
-    /// Spawns workers up to `n` (never shrinks — a later smaller batch
-    /// just leaves the extras idle on their channel).
-    fn ensure(&mut self, n: usize) {
-        while self.workers.len() < n {
-            self.workers.push(spawn_engine_worker());
-        }
-    }
-
-    /// Runs `items` of `work` across `workers` threads and returns the
-    /// reports in item order.
-    fn run(
-        &mut self,
-        workers: usize,
-        work: &Workload,
-        items: Range<usize>,
-        device: &Device,
-        generation: u64,
-        plan: SeedPlan,
-    ) -> Result<Vec<RunReport>, DeviceError> {
-        self.ensure(workers);
-        let n = items.len();
-        for (t, worker) in self.workers.iter_mut().enumerate().take(workers) {
-            // A stale worker gets a fresh clone of the owned device; a
-            // current one reuses the clone it already holds.
-            let refresh = if worker.generation == Some(generation) {
-                None
-            } else {
-                Some(device.clone())
-            };
-            worker.generation = Some(generation);
-            let task = EngineTask {
-                refresh,
-                work: work.clone(),
-                block: items.start + t * n / workers..items.start + (t + 1) * n / workers,
-                plan,
-            };
-            assert!(
-                worker.tasks.send(task).is_ok(),
-                "engine worker disconnected"
-            );
-        }
-        let mut reports = Vec::with_capacity(n);
-        let mut first_error: Option<(usize, DeviceError)> = None;
-        for worker in self.workers.iter_mut().take(workers) {
-            match worker.results.recv().expect("engine worker panicked") {
-                Ok(mut block) => reports.append(&mut block),
-                Err((i, e)) => {
-                    if first_error.as_ref().is_none_or(|(j, _)| i < *j) {
-                        first_error = Some((i, e));
-                    }
-                }
-            }
-        }
-        if let Some((_, e)) = first_error {
-            return Err(e);
-        }
-        Ok(reports)
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        for EngineWorker { tasks, thread, .. } in self.workers.drain(..) {
-            // Disconnecting the task channel ends the worker loop.
-            drop(tasks);
-            // A worker that panicked already surfaced it on recv; don't
-            // double-panic during drop.
-            let _ = thread.join();
-        }
-    }
-}
-
 impl SeedPlan {
     /// A plan whose base seeds come from the device configuration.
     pub fn from_config(cfg: &DeviceConfig) -> Self {
@@ -408,7 +258,7 @@ impl SeedPlan {
 /// source), so the per-shot path never re-parses. Gate resolution still
 /// happens in the decode pipeline at run time. The instruction sequence
 /// is shared behind an [`std::sync::Arc`], so cloning a loaded program
-/// (per sweep point, per worker shard) is a pointer copy.
+/// (per sweep point) is a pointer copy.
 #[derive(Debug, Clone)]
 pub struct LoadedProgram {
     program: Arc<Program>,
@@ -547,12 +397,10 @@ pub struct Session {
     /// sequence instead of replaying it, so pooling two batches never
     /// double-counts the same noise realizations.
     next_shot: u64,
-    /// Bumped by every [`Session::device_mut`] access; workers whose
-    /// warm clone lags this re-clone on their next task.
-    generation: u64,
-    /// Persistent parallel workers: spawned lazily by the first parallel
-    /// call, reused (devices kept warm) across batches.
-    pool: WorkerPool,
+    /// Warm clones of `device`, one per parallel block: made the first
+    /// time a call needs them, reused across calls, dropped by
+    /// [`Session::device_mut`].
+    replicas: Vec<Device>,
     /// Optional span sink; batches record `shot_batch` spans when set.
     /// Pure observation — never consulted on the execution path, so the
     /// determinism contract is unaffected.
@@ -560,17 +408,16 @@ pub struct Session {
 }
 
 impl Clone for Session {
-    /// Clones the device and seed state. The worker pool is *not*
-    /// cloned — the copy starts with no workers and spawns its own on
-    /// its first parallel call. The tracer attachment (if any) is
-    /// shared: both sessions record into the same ring.
+    /// Clones the device and seed state. The warm replicas are *not*
+    /// cloned — the copy makes its own on its first parallel call. The
+    /// tracer attachment (if any) is shared: both sessions record into
+    /// the same ring.
     fn clone(&self) -> Self {
         Self {
             device: self.device.clone(),
             plan: self.plan,
             next_shot: self.next_shot,
-            generation: 0,
-            pool: WorkerPool::default(),
+            replicas: Vec::new(),
             tracer: self.tracer.clone(),
         }
     }
@@ -582,7 +429,7 @@ impl std::fmt::Debug for Session {
             .field("device", &self.device)
             .field("plan", &self.plan)
             .field("next_shot", &self.next_shot)
-            .field("workers", &self.pool.workers.len())
+            .field("replicas", &self.replicas.len())
             .field("traced", &self.tracer.is_some())
             .finish_non_exhaustive()
     }
@@ -602,8 +449,7 @@ impl Session {
             device,
             plan,
             next_shot: 0,
-            generation: 0,
-            pool: WorkerPool::default(),
+            replicas: Vec::new(),
             tracer: None,
         }
     }
@@ -645,19 +491,13 @@ impl Session {
     /// The owned device, mutable — for calibration uploads and error
     /// injection between batches.
     ///
-    /// Any mutable access may change parameters the persistent parallel
-    /// workers' warm device clones carry (pulse libraries, noise,
-    /// readout tuning — things a per-shot reseed does *not* restore), so
-    /// it conservatively marks those clones stale; the next parallel
-    /// call re-clones.
+    /// Any mutable access may change parameters the warm replicas carry
+    /// (pulse libraries, noise, readout tuning — things a per-shot
+    /// reseed does *not* restore), so it conservatively drops them; the
+    /// next parallel call re-clones.
     pub fn device_mut(&mut self) -> &mut Device {
-        self.generation += 1;
+        self.replicas.clear();
         &mut self.device
-    }
-
-    /// Releases the device.
-    pub fn into_device(self) -> Device {
-        self.device
     }
 
     /// The session's base seed plan (captured when the session was built).
@@ -736,34 +576,27 @@ impl Session {
         self.device.run(&program.program)
     }
 
-    /// Runs a loaded template once with explicit seeds, in its current
-    /// patch state.
-    pub fn run_template(
-        &mut self,
-        template: &LoadedTemplate,
-        seeds: ShotSeeds,
-    ) -> Result<RunReport, DeviceError> {
-        self.device.reseed(seeds.chip, seeds.jitter);
-        self.device.run(template.working())
-    }
-
     /// Runs the items `items` of `work` and returns their reports in item
     /// order — the one batch entry point. Every item reseeds before it
     /// runs, so item `i` produces the same report whatever range it runs
     /// in and however the range is sharded.
     ///
     /// `threads` is resolved through [`resolve_threads`] (`0` = one per
-    /// available core). One thread runs the range on the owned device;
-    /// more shard it in contiguous blocks across the session's
-    /// persistent workers, each on its warm clone of the calibrated
-    /// device, and leave the owned device's RNG streams where they were.
+    /// available core). One thread runs the range on the owned device
+    /// on the calling thread. More shard it on scoped threads over warm
+    /// replicas, at most one per core: contiguous blocks, block 0 on
+    /// the calling thread, each block on its own warm clone of the
+    /// calibrated device. A sharded call leaves the owned device's RNG
+    /// streams where they were, and on failure returns the error of the
+    /// lowest failing item — the one the sequential loop would stop at.
     /// A [`Workload::Shots`] run that succeeds leaves the shot counter
     /// ([`Session::shots_run`]) just past its last shot, so the next
     /// [`Session::run_shots`] continues the seed sequence.
     ///
     /// # Panics
     ///
-    /// If `items` reaches past `work.len()`.
+    /// If `items` reaches past `work.len()`, or with "engine worker
+    /// panicked" if a sharded block panics.
     pub fn execute(
         &mut self,
         work: &Workload,
@@ -778,19 +611,57 @@ impl Session {
             check_axis_sets(points, items.clone())?;
         }
         let t0 = now_ns();
-        let workers = resolve_threads(threads, items.len());
-        let reports = if workers == 1 {
-            work.run_block(&mut self.device, items.clone(), self.plan)
-                .map_err(|(_, e)| e)?
+        let mut blocks = resolve_threads(threads, items.len());
+        let reports = if blocks == 1 {
+            work.run_block(&mut self.device, items.clone(), self.plan)?
         } else {
-            let (device, generation) = (&self.device, self.generation);
-            self.pool
-                .run(workers, work, items.clone(), device, generation, self.plan)?
+            // Capped to the cores, a sharded call may run one block, but
+            // still on a replica: it never touches the owned device.
+            let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+            blocks = blocks.min(cores);
+            self.run_blocks(blocks, work, items.clone())?
         };
-        let fanout = if workers == 1 { 0 } else { workers as u64 };
+        let fanout = if blocks == 1 { 0 } else { blocks as u64 };
         self.span_batch(t0, items.len() as u64, fanout);
         if let Workload::Shots { first, .. } = work {
             self.next_shot = first + items.end as u64;
+        }
+        Ok(reports)
+    }
+
+    /// Runs `items` of `work` in `blocks` contiguous blocks, one per warm
+    /// replica: block 0 on the calling thread, the rest on scoped
+    /// threads. Blocks come back in item order, so the first error met
+    /// is the lowest-index one. The replicas are held outside the
+    /// session while they run, so a panicking block drops them.
+    fn run_blocks(
+        &mut self,
+        blocks: usize,
+        work: &Workload,
+        items: Range<usize>,
+    ) -> Result<Vec<RunReport>, DeviceError> {
+        let mut replicas = std::mem::take(&mut self.replicas);
+        if replicas.len() < blocks {
+            replicas.resize_with(blocks, || self.device.clone());
+        }
+        let (n, plan) = (items.len(), self.plan);
+        let block = |t: usize| items.start + t * n / blocks..items.start + (t + 1) * n / blocks;
+        let (head, rest) = replicas[..blocks].split_first_mut().expect("blocks >= 1");
+        let results = std::thread::scope(|s| {
+            let handles: Vec<_> = (1..)
+                .zip(rest)
+                .map(|(t, device)| s.spawn(move || work.run_block(device, block(t), plan)))
+                .collect();
+            let first = catch_unwind(AssertUnwindSafe(|| work.run_block(head, block(0), plan)));
+            std::iter::once(first)
+                .chain(handles.into_iter().map(|h| h.join()))
+                .map(|r| r.expect("engine worker panicked"))
+                .collect::<Vec<_>>()
+        });
+        self.replicas = replicas;
+        let mut reports = Vec::with_capacity(n);
+        for result in results {
+            reports.append(&mut result?);
         }
         Ok(reports)
     }
@@ -838,6 +709,7 @@ mod tests {
     use super::*;
     use crate::config::{ChipProfile, DeviceConfig};
     use crate::trace::TraceLevel;
+    use quma_obs::trace::TraceBuffer;
 
     const SEGMENT: &str = "\
         Wait 40000\n\
@@ -1011,6 +883,63 @@ mod tests {
         fresh.chip_mut().qubit_mut(0).readout.noise_sigma = 0.8;
         let want = fresh.run_assembly(SEGMENT).unwrap();
         assert_eq!(got.md_results, want.md_results);
+    }
+
+    #[test]
+    fn parallel_batch_after_device_mut_sees_the_change() {
+        // Warm replicas are clones of the owned device: a retune through
+        // `device_mut` must reach the next parallel batch instead of
+        // running on the stale clones the previous batch warmed.
+        fn retune(session: &mut Session) {
+            session
+                .device_mut()
+                .chip_mut()
+                .qubit_mut(0)
+                .readout
+                .noise_sigma = 0.8;
+        }
+        let mut session = Session::new(config()).unwrap();
+        let loaded = session.load_assembly(SEGMENT).unwrap();
+        let work = shots(&session, &loaded, 4);
+        session.execute(&work, 0..4, 2).unwrap(); // warm the replicas
+        retune(&mut session);
+        let parallel = session.execute(&work, 0..4, 2).unwrap();
+        let mut fresh = Session::new(config()).unwrap();
+        retune(&mut fresh);
+        let sequential = fresh.execute(&work, 0..4, 1).unwrap();
+        for (i, (a, b)) in sequential.iter().zip(parallel.iter()).enumerate() {
+            assert_eq!(a.md_results, b.md_results, "shot {i}");
+        }
+    }
+
+    #[test]
+    fn oversubscribed_batch_runs_at_most_one_block_per_core() {
+        let buf = TraceBuffer::new(16);
+        let mut session = Session::new(config()).unwrap();
+        session.set_tracer(Some(SessionTracer {
+            buf: buf.clone(),
+            trace_id: 1,
+            tid: 0,
+        }));
+        let loaded = session.load_assembly(SEGMENT).unwrap();
+        let work = shots(&session, &loaded, 8);
+        let got = session.execute(&work, 0..8, 64).unwrap();
+        let want = Session::new(config())
+            .unwrap()
+            .execute(&work, 0..8, 1)
+            .unwrap();
+        for (i, (a, b)) in want.iter().zip(got.iter()).enumerate() {
+            assert_eq!(a.registers, b.registers, "shot {i}");
+            assert_eq!(a.md_results, b.md_results, "shot {i}");
+        }
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let blocks = cores.min(8) as u64;
+        let spans = buf.events();
+        assert_eq!(spans.len(), 1);
+        assert_eq!(
+            (spans[0].a, spans[0].b),
+            (8, if blocks == 1 { 0 } else { blocks })
+        );
     }
 
     #[test]

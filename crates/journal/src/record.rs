@@ -45,7 +45,7 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-fn need(cur: &mut &[u8], n: usize, what: &str) -> Result<(), CodecError> {
+pub(crate) fn need(cur: &mut &[u8], n: usize, what: &str) -> Result<(), CodecError> {
     if cur.remaining() < n {
         Err(CodecError::new(format!(
             "{what}: need {n} bytes, {} remain",
@@ -99,9 +99,9 @@ fn take_bytes(cur: &mut &[u8], what: &str) -> Result<Vec<u8>, CodecError> {
 /// Caps decoded collection lengths: every length field is checked
 /// against the bytes actually remaining before allocating, and this
 /// bound additionally rejects absurd counts early.
-const MAX_COUNT: u32 = 1 << 24;
+pub(crate) const MAX_COUNT: u32 = 1 << 24;
 
-fn take_count(cur: &mut &[u8], what: &str) -> Result<usize, CodecError> {
+pub(crate) fn take_count(cur: &mut &[u8], what: &str) -> Result<usize, CodecError> {
     let n = take_u32(cur, what)?;
     if n > MAX_COUNT {
         return Err(CodecError::new(format!("{what}: count {n} exceeds bound")));

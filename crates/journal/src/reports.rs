@@ -12,35 +12,10 @@
 //! bit-identical to the run that produced them, which is what lets a
 //! recovered server serve byte-identical response documents.
 
-use crate::record::CodecError;
+use crate::record::{need, take_count, CodecError};
 use bytes::{Buf, BufMut};
 use quma_core::device::{MdRecord, RunReport};
 use quma_isa::reg::{Reg, NUM_REGS};
-
-fn need(cur: &mut &[u8], n: usize, what: &str) -> Result<(), CodecError> {
-    if cur.remaining() < n {
-        Err(CodecError {
-            detail: format!("{what}: need {n} bytes, {} remain", cur.remaining()),
-        })
-    } else {
-        Ok(())
-    }
-}
-
-/// Bound on decoded element counts; real counts are far smaller and
-/// every read is still length-checked against the remaining bytes.
-const MAX_COUNT: u32 = 1 << 24;
-
-fn take_count(cur: &mut &[u8], what: &str) -> Result<usize, CodecError> {
-    need(cur, 4, what)?;
-    let n = cur.get_u32();
-    if n > MAX_COUNT {
-        return Err(CodecError {
-            detail: format!("{what}: count {n} exceeds bound"),
-        });
-    }
-    Ok(n as usize)
-}
 
 /// Exact encoded size of `reports`, so the append path reserves once
 /// instead of growth-doubling its way through a ~100 KiB frame.

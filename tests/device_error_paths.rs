@@ -84,7 +84,10 @@ fn verifier_catches_what_the_device_would_fault_on() {
     let prog = Assembler::new().assemble(src).unwrap();
     assert!(!is_loadable(&prog, &VerifyConfig::default()));
     let err = device().run(&prog).expect_err("MD without MPG");
-    assert!(err.to_string().contains("no measurement trace"), "{err}");
+    assert!(
+        err.to_string().contains("no measurement window of its own"),
+        "{err}"
+    );
 }
 
 #[test]

@@ -117,8 +117,8 @@ proptest! {
         }
     }
 
-    /// The persistent worker pool must be invisible: batches run through
-    /// one session's reused workers (second/third call hit warm workers,
+    /// Warm replicas must be invisible: batches run through one
+    /// session's reused replicas (the second call hits warm replicas,
     /// possibly at a different thread count) equal both a fresh session
     /// per batch and the sequential engine, shot for shot.
     #[test]
@@ -134,9 +134,9 @@ proptest! {
         let second = sequential.run_shots(&loaded, n).expect("batch 2");
         let all = 0..n as usize;
 
-        // One session, three parallel batches over reused workers, the
-        // middle one at a different thread count (forcing re-blocking
-        // without re-cloning warm devices).
+        // One session, parallel batches over reused replicas, the second
+        // at a different thread count (forcing re-blocking without
+        // re-cloning warm devices).
         let mut pooled = Session::new(config(seed)).expect("session");
         let work = shots(&pooled, &loaded, n);
         let got_a = pooled.execute(&work, all.clone(), threads_a).expect("pooled 1");
