@@ -68,8 +68,12 @@ pub struct RunStats {
 pub struct RunReport {
     /// Final register values.
     pub registers: [i32; quma_isa::reg::NUM_REGS],
-    /// Final data memory.
-    pub memory: Vec<i32>,
+    /// Final data memory, sparse: the nonzero words as `(address, value)`
+    /// pairs in ascending address order; every other word is zero. The
+    /// form is canonical, so two reports' `memory` are equal exactly when
+    /// their dense memories are. Read one word with
+    /// [`RunReport::memory_word`].
+    pub memory: Vec<(u32, i32)>,
     /// Data-collection averages `S̄_i`, per qubit.
     pub collector_averages: Vec<Vec<f64>>,
     /// Every discrimination result in completion order.
@@ -78,6 +82,16 @@ pub struct RunReport {
     pub stats: RunStats,
     /// The deterministic-domain event trace (empty at `TraceLevel::Off`).
     pub trace: Trace,
+}
+
+impl RunReport {
+    /// The final value of data-memory word `addr` (0 for a word absent
+    /// from the sparse [`RunReport::memory`]).
+    pub fn memory_word(&self, addr: u32) -> i32 {
+        self.memory
+            .binary_search_by_key(&addr, |&(a, _)| a)
+            .map_or(0, |i| self.memory[i].1)
+    }
 }
 
 /// Errors from running a program on the device.
@@ -365,7 +379,7 @@ impl Device {
         }
         RunReport {
             registers,
-            memory: self.frontend.exec().memory().to_vec(),
+            memory: self.frontend.exec().nonzero_words(),
             collector_averages: self.backend.collector_averages(),
             md_results: self.backend.take_md_results(),
             stats: RunStats {
@@ -610,7 +624,13 @@ mod tests {
         // The ideal chip has no T1 relaxation, so the projective measurement
         // leaves the qubit in the measured state: X180 then alternates
         // 1, 0, 1, 0 across the four rounds.
-        assert_eq!(report.memory[100], 2, "projective alternation sums to 2");
+        assert_eq!(
+            report.memory_word(100),
+            2,
+            "projective alternation sums to 2"
+        );
+        assert_eq!(report.memory, vec![(100, 2)], "only the written word");
+        assert_eq!(report.memory_word(99), 0);
         assert_eq!(report.stats.measurements, 4);
         let bits: Vec<u8> = report.md_results.iter().map(|m| m.bit).collect();
         assert_eq!(bits, vec![1, 0, 1, 0]);

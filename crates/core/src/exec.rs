@@ -87,6 +87,11 @@ pub struct ExecutionController {
     pc: u32,
     rf: RegisterFile,
     mem: Vec<i32>,
+    /// Addresses stored to since the last `load`, each listed once, so a
+    /// reset clears only those words instead of the whole memory.
+    dirty: Vec<u32>,
+    /// Membership bits of `dirty`, one per memory word.
+    dirty_bits: Vec<u64>,
     /// In-flight result count per register (scoreboard).
     pending: [u16; NUM_REGS],
     halted: bool,
@@ -105,6 +110,8 @@ impl ExecutionController {
             pc: 0,
             rf: RegisterFile::new(),
             mem: vec![0; mem_words],
+            dirty: Vec::new(),
+            dirty_bits: vec![0; mem_words.div_ceil(64)],
             pending: [0; NUM_REGS],
             halted: true,
             next_ready: 0,
@@ -126,7 +133,11 @@ impl ExecutionController {
         self.program = program.instructions().to_vec();
         self.pc = 0;
         self.rf = RegisterFile::new();
-        self.mem.fill(0);
+        for &addr in &self.dirty {
+            self.mem[addr as usize] = 0;
+            self.dirty_bits[addr as usize / 64] = 0;
+        }
+        self.dirty.clear();
         self.pending = [0; NUM_REGS];
         self.halted = self.program.is_empty();
         self.next_ready = 0;
@@ -141,6 +152,20 @@ impl ExecutionController {
     /// Data memory contents.
     pub fn memory(&self) -> &[i32] {
         &self.mem
+    }
+
+    /// The nonzero data-memory words as `(address, value)` pairs in
+    /// ascending address order — every other word is zero. Costs only
+    /// the words stored to since `load`, whatever the memory size.
+    pub fn nonzero_words(&self) -> Vec<(u32, i32)> {
+        let mut words: Vec<(u32, i32)> = self
+            .dirty
+            .iter()
+            .map(|&addr| (addr, self.mem[addr as usize]))
+            .filter(|&(_, value)| value != 0)
+            .collect();
+        words.sort_unstable_by_key(|&(addr, _)| addr);
+        words
     }
 
     /// Statistics.
@@ -311,6 +336,11 @@ impl ExecutionController {
                         size: self.mem.len(),
                     })?;
                 self.mem[idx] = self.rf.read(*rs);
+                let bit = 1u64 << (idx % 64);
+                if self.dirty_bits[idx / 64] & bit == 0 {
+                    self.dirty_bits[idx / 64] |= bit;
+                    self.dirty.push(idx as u32);
+                }
                 StepOutcome::RetiredClassical
             }
             Instruction::Beq { rs, rt, target } => {
@@ -369,8 +399,11 @@ mod tests {
     }
 
     fn run_classical(src: &str) -> ExecutionController {
+        run_on(controller(), src)
+    }
+
+    fn run_on(mut ec: ExecutionController, src: &str) -> ExecutionController {
         let prog = Assembler::new().assemble(src).unwrap();
-        let mut ec = controller();
         ec.load(&prog);
         let mut cycle = 0u64;
         while !ec.halted() {
@@ -536,6 +569,30 @@ mod tests {
         let (r_jit, c_jit) = run(7, 99);
         assert_eq!(r_nojit, r_jit);
         assert!(c_jit > c_nojit, "jitter must slow execution down");
+    }
+
+    #[test]
+    fn nonzero_words_are_sparse_and_load_clears_them() {
+        // Stores straddle a 64-word bit boundary, hit one word twice and
+        // write a zero; only the final nonzero words are reported.
+        let mut ec = run_on(
+            ExecutionController::new(128, 0, 0),
+            "mov r1, 64\n\
+             mov r2, -3\n\
+             mov r3, 9\n\
+             store r2, r1[0]\n\
+             store r3, r1[-1]\n\
+             store r3, r1[-59]\n\
+             store r2, r1[-1]\n\
+             store r0, r1[-59]\n\
+             store r3, r1[-64]\n\
+             halt",
+        );
+        assert_eq!(ec.nonzero_words(), vec![(0, 9), (63, -3), (64, -3)]);
+        assert_eq!(ec.memory().iter().filter(|&&w| w != 0).count(), 3);
+        ec.load(&Assembler::new().assemble("halt").unwrap());
+        assert!(ec.nonzero_words().is_empty());
+        assert!(ec.memory().iter().all(|&w| w == 0), "load clears memory");
     }
 
     #[test]

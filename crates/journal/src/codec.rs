@@ -20,8 +20,9 @@ use bytes::{Buf, BufMut};
 
 /// Magic header of the write-ahead log (`wal.qj`).
 pub const WAL_MAGIC: &[u8; 8] = b"QJWAL\x01\0\0";
-/// Magic header of the binary result log (`results.qrl`).
-pub const RESULT_MAGIC: &[u8; 8] = b"QJRES\x01\0\0";
+/// Magic header of the binary result log (`results.qrl`). Version 2:
+/// report memory is sparse (see [`crate::reports`]).
+pub const RESULT_MAGIC: &[u8; 8] = b"QJRES\x02\0\0";
 /// Bytes of frame header preceding each payload: `[len u32][crc u32]`.
 pub const FRAME_HEADER: usize = 8;
 /// Upper bound on a single frame's payload (256 MiB). A length field

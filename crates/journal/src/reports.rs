@@ -2,10 +2,17 @@
 //!
 //! A result-log frame holds a `Vec<RunReport>` (one sweep block, one
 //! shot batch, or one full result). Only the *deterministic* surface of
-//! a report is persisted — registers, data memory, collector averages,
-//! and discrimination records — because that is exactly what the replay
-//! contract pins bit-for-bit and what the serving layer renders.
-//! Diagnostics (`stats`, `trace`) are run-local and decode as defaults.
+//! a report is persisted — registers, the nonzero data-memory words,
+//! collector averages, and discrimination records — because that is
+//! exactly what the replay contract pins bit-for-bit and what the
+//! serving layer renders. Diagnostics (`stats`, `trace`) are run-local
+//! and decode as defaults.
+//!
+//! Format version 2 (the `results.qrl` magic): memory travels as a pair
+//! count and `(addr u32, value i32)` pairs, strictly ascending by
+//! address with no zero value, so a report has exactly one encoding and
+//! a program that writes a few words journals a few words, not the whole
+//! data memory.
 //!
 //! Floats travel as their IEEE-754 bit patterns ([`BufMut::put_f64`] /
 //! [`Buf::get_f64`]): decoding a journaled report yields values
@@ -18,7 +25,7 @@ use quma_core::device::{MdRecord, RunReport};
 use quma_isa::reg::{Reg, NUM_REGS};
 
 /// Exact encoded size of `reports`, so the append path reserves once
-/// instead of growth-doubling its way through a ~100 KiB frame.
+/// instead of growth-doubling its way through a multi-report frame.
 fn encoded_size(reports: &[RunReport]) -> usize {
     let per_md = 8 + 4 + 1 + 1 + 8;
     4 + reports
@@ -26,7 +33,7 @@ fn encoded_size(reports: &[RunReport]) -> usize {
         .map(|r| {
             4 * NUM_REGS
                 + 4
-                + 4 * r.memory.len()
+                + 8 * r.memory.len()
                 + 4
                 + r.collector_averages
                     .iter()
@@ -47,8 +54,9 @@ pub fn encode_reports(out: &mut Vec<u8>, reports: &[RunReport]) {
             out.put_i32(r);
         }
         out.put_u32(report.memory.len() as u32);
-        for &m in &report.memory {
-            out.put_i32(m);
+        for &(addr, value) in &report.memory {
+            out.put_u32(addr);
+            out.put_i32(value);
         }
         out.put_u32(report.collector_averages.len() as u32);
         for qubit in &report.collector_averages {
@@ -80,11 +88,23 @@ pub fn decode_reports(payload: &[u8]) -> Result<Vec<RunReport>, CodecError> {
         for r in &mut registers {
             *r = cur.get_i32();
         }
-        let n_mem = take_count(&mut cur, "memory length")?;
-        need(&mut cur, 4 * n_mem, "memory words")?;
-        let mut memory = Vec::with_capacity(n_mem);
+        let n_mem = take_count(&mut cur, "memory word count")?;
+        need(&mut cur, 8 * n_mem, "memory words")?;
+        let mut memory: Vec<(u32, i32)> = Vec::with_capacity(n_mem);
         for _ in 0..n_mem {
-            memory.push(cur.get_i32());
+            let addr = cur.get_u32();
+            let value = cur.get_i32();
+            if let Some(&(prev, _)) = memory.last().filter(|&&(prev, _)| addr <= prev) {
+                return Err(CodecError {
+                    detail: format!("memory word {addr} follows word {prev}"),
+                });
+            }
+            if value == 0 {
+                return Err(CodecError {
+                    detail: format!("memory word {addr} holds an explicit zero"),
+                });
+            }
+            memory.push((addr, value));
         }
         let n_qubits = take_count(&mut cur, "collector qubit count")?;
         let mut collector_averages = Vec::with_capacity(n_qubits.min(1024));
@@ -148,7 +168,7 @@ mod tests {
         registers[15] = -1;
         RunReport {
             registers,
-            memory: vec![3, -4, 5],
+            memory: vec![(0, 3), (17, -4), (4095, 5)],
             collector_averages: vec![vec![0.25, -0.0], vec![], vec![f64::from_bits(salt)]],
             md_results: vec![
                 MdRecord {
@@ -221,6 +241,97 @@ mod tests {
         let mut long = payload;
         long.push(0);
         assert!(decode_reports(&long).is_err());
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The version-2 encoding of one fixed report, byte for byte: a
+    /// change here is a result-log format change and needs a new
+    /// `RESULT_MAGIC` version.
+    #[test]
+    fn v2_encoding_is_pinned() {
+        let mut registers = [0i32; NUM_REGS];
+        registers[7] = 1;
+        registers[15] = -1;
+        let report = RunReport {
+            registers,
+            memory: vec![(64, 2), (70_000, -7)],
+            collector_averages: vec![vec![0.5]],
+            md_results: vec![MdRecord {
+                td: 40_000,
+                qubit: 0,
+                bit: 1,
+                s: -0.25,
+                rd: Reg::new(7),
+            }],
+            stats: Default::default(),
+            trace: Default::default(),
+        };
+        let mut payload = Vec::new();
+        encode_reports(&mut payload, std::slice::from_ref(&report));
+        let want = [
+            "00000001",            // report count
+            &"00000000".repeat(7), // r0..r6
+            "00000001",            // r7
+            &"00000000".repeat(7), // r8..r14
+            "ffffffff",            // r15
+            "00000002",            // memory pairs
+            "00000040",            // addr 64
+            "00000002",            // value 2
+            "00011170",            // addr 70 000
+            "fffffff9",            // value -7
+            "00000001",            // qubits
+            "00000001",            // averages
+            "3fe0000000000000",    // 0.5
+            "00000001",            // md records
+            "0000000000009c40",    // td 40 000
+            "00000000",            // qubit
+            "01",                  // bit
+            "07",                  // rd r7
+            "bfd0000000000000",    // s -0.25
+        ]
+        .concat();
+        assert_eq!(hex(&payload), want);
+        assert_eq!(payload.len(), encoded_size(std::slice::from_ref(&report)));
+        let decoded = decode_reports(&payload).unwrap();
+        assert_reports_bit_identical(std::slice::from_ref(&report), &decoded);
+    }
+
+    /// Encodes one report whose memory is `memory` (canonical or not —
+    /// the encoder writes what it is given) and decodes it back.
+    fn decode_memory(memory: Vec<(u32, i32)>) -> Result<Vec<RunReport>, CodecError> {
+        let mut report = sample_report(3);
+        report.memory = memory;
+        let mut payload = Vec::new();
+        encode_reports(&mut payload, &[report]);
+        decode_reports(&payload)
+    }
+
+    #[test]
+    fn memory_pairs_out_of_order_are_a_decode_error() {
+        let err = decode_memory(vec![(9, 1), (4, 2)]).unwrap_err();
+        assert!(err.detail.contains("word 4 follows word 9"), "{err}");
+    }
+
+    #[test]
+    fn duplicate_memory_addresses_are_a_decode_error() {
+        let err = decode_memory(vec![(4, 1), (4, 2)]).unwrap_err();
+        assert!(err.detail.contains("word 4 follows word 4"), "{err}");
+    }
+
+    #[test]
+    fn zero_memory_values_are_a_decode_error() {
+        let err = decode_memory(vec![(4, 1), (5, 0)]).unwrap_err();
+        assert!(
+            err.detail.contains("word 5 holds an explicit zero"),
+            "{err}"
+        );
+        assert_eq!(
+            decode_memory(vec![(4, 1), (5, -1)]).unwrap()[0].memory_word(5),
+            -1
+        );
     }
 
     #[test]

@@ -288,6 +288,9 @@ impl Drop for Flusher {
     }
 }
 
+/// Offset of the format-version byte in a log's magic header.
+const VERSION_AT: usize = 5;
+
 /// Opens (or creates) one log file: verifies the magic header and
 /// truncates any torn tail, returning the file positioned at its clean
 /// end, plus that end offset.
@@ -306,9 +309,18 @@ fn open_log(path: &Path, magic: &[u8; 8]) -> io::Result<(File, u64)> {
         return Ok((file, magic.len() as u64));
     }
     if contents.len() < magic.len() || &contents[..magic.len()] != magic {
+        // Magic is `[name 5B][version 1B][0 0]`: a known name with another
+        // version is a format this build does not read, not a foreign file.
+        let detail = match contents.get(..VERSION_AT + 1) {
+            Some(head) if head[..VERSION_AT] == magic[..VERSION_AT] => format!(
+                "format version {} is not supported (this build reads version {})",
+                head[VERSION_AT], magic[VERSION_AT]
+            ),
+            _ => "not a journal file (bad magic)".to_string(),
+        };
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
-            format!("{} is not a journal file (bad magic)", path.display()),
+            format!("{}: {detail}", path.display()),
         ));
     }
     let (_, clean_end) = scan_frames(&contents, magic.len());
@@ -598,7 +610,7 @@ mod tests {
         let config = JournalConfig::new(&dir);
         let report = RunReport {
             registers: [7; quma_isa::reg::NUM_REGS],
-            memory: vec![1, 2],
+            memory: vec![(1, 1), (4095, -2)],
             collector_averages: vec![vec![0.5]],
             md_results: vec![],
             stats: Default::default(),
@@ -654,6 +666,28 @@ mod tests {
         std::fs::write(dir.join(WAL_FILE), b"definitely not a journal").unwrap();
         let err = Journal::open(&JournalConfig::new(&dir)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn version_1_result_log_is_rejected_by_version() {
+        let dir = temp_dir("results_v1");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join(RESULT_FILE), b"QJRES\x01\0\0").unwrap();
+        let err = Journal::open(&JournalConfig::new(&dir)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let message = err.to_string();
+        assert!(
+            message.contains("format version 1 is not supported")
+                && message.contains("reads version 2")
+                && !message.contains("bad magic"),
+            "{message}"
+        );
+        assert_eq!(
+            std::fs::read(dir.join(RESULT_FILE)).unwrap(),
+            b"QJRES\x01\0\0",
+            "the old log is left as it was"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -5,6 +5,7 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use quma_core::prelude::*;
@@ -218,10 +219,46 @@ fn unknown_ids_and_routes_are_404_problems() {
     server.shutdown();
 }
 
+/// A job that holds its pool worker until released: `prepare` blocks on
+/// the channel, then the experiment runs no points.
+struct HoldWorker(mpsc::Receiver<()>);
+
+impl Experiment for HoldWorker {
+    type Config = ();
+    type Output = ();
+
+    fn name(&self) -> &'static str {
+        "hold_worker"
+    }
+
+    fn device_config(&self, _: &()) -> DeviceConfig {
+        device()
+    }
+
+    fn prepare(&self, _: &(), _: &mut Session) -> Result<(), ExperimentError> {
+        self.0
+            .recv()
+            .map_err(|_| ExperimentError::Config("gate sender dropped".into()))
+    }
+
+    fn axes(&self, _: &()) -> Result<SweepAxes, ExperimentError> {
+        Ok(SweepAxes::new(Vec::new(), ExecutionMode::ProgramSweep))
+    }
+
+    fn analyze(&self, _: &(), _: &SweepAxes, _: &[RunReport]) -> Result<(), ExperimentError> {
+        Ok(())
+    }
+}
+
 #[test]
 fn lifecycle_conflicts_are_409_and_cancel_is_typed() {
-    // One worker: the blocker occupies it, the victim stays queued.
-    let server = serve(1, ServerConfig::new());
+    // One worker, held by a gate job until the victim is cancelled, so
+    // the blocker and the victim are both still queued when the DELETEs
+    // arrive, however the threads are scheduled.
+    let pool = pool(1);
+    let (release, held) = mpsc::channel();
+    let gate = pool.submit_experiment(HoldWorker(held), ()).unwrap();
+    let server = Server::start(pool, ServerConfig::new()).unwrap();
     let mut client = MiniClient::connect(server.local_addr(), "conflict");
     let blocker = submit_ok(&mut client, &shots_doc(16));
     let victim = submit_ok(&mut client, &shots_doc(1));
@@ -248,6 +285,8 @@ fn lifecycle_conflicts_are_409_and_cancel_is_typed() {
     let again = client.delete(&format!("/jobs/{victim}")).unwrap();
     assert_eq!(again.status, 409, "{}", again.text());
     assert_eq!(problem_code(&again), "state_conflict");
+    release.send(()).unwrap();
+    gate.wait().unwrap();
 
     // A cancelled job never produces a result.
     client.wait_for(victim, Duration::from_millis(5)).unwrap();

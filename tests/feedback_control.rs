@@ -123,14 +123,39 @@ fn accumulating_results_in_memory_matches_md_records() {
         chip_seed: 5,
         ..DeviceConfig::default()
     };
-    let mut dev = Device::new(cfg).expect("valid config");
+    let ones =
+        |report: &RunReport| -> i32 { report.md_results.iter().map(|m| i32::from(m.bit)).sum() };
+    let mut dev = Device::new(cfg.clone()).expect("valid config");
     let report = dev.run_assembly(src).expect("program runs");
-    let ones: i32 = report.md_results.iter().map(|m| i32::from(m.bit)).sum();
     assert_eq!(
-        report.memory[64], ones,
+        report.memory_word(64),
+        ones(&report),
         "memory accumulation matches MD log"
     );
     assert_eq!(report.md_results.len(), 8);
+    assert_eq!(report.memory, vec![(64, ones(&report))]);
+    // The first run leaves a nonzero word behind, so every later run
+    // below reads its own count only if memory is cleared between runs.
+    assert!(ones(&report) > 0);
+
+    let again = dev.run_assembly(src).expect("program runs again");
+    assert_eq!(
+        again.memory_word(64),
+        ones(&again),
+        "a second run on the same device starts from zeroed memory"
+    );
+
+    let mut session = Session::new(cfg).expect("valid config");
+    let program = session.load_assembly(src).expect("assembles");
+    let batch = session.run_shots(&program, 2).expect("batch runs");
+    for (i, shot) in batch.shots.iter().enumerate() {
+        assert_eq!(
+            shot.memory_word(64),
+            ones(shot),
+            "shot {i} of a batch starts from zeroed memory"
+        );
+    }
+    assert!(ones(&batch.shots[0]) > 0);
 }
 
 #[test]

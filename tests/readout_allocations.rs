@@ -1,37 +1,39 @@
 //! Steady-state shots allocate the same bytes whatever the readout
-//! window: measurement noise lands in a reused buffer and discrimination
-//! integrates cached calibration templates, so no per-sample trace is
-//! allocated. A counting global allocator measures one shot after a
-//! warm-up shot (which fills the calibration cache and sizes the noise
-//! buffer). Lives in its own test binary because it installs the global
-//! allocator.
+//! window and whatever the data-memory size: measurement noise lands in
+//! a reused buffer, discrimination integrates cached calibration
+//! templates, and reset and report touch only the memory words a shot
+//! wrote, so no per-sample trace or per-word copy is allocated. A
+//! counting global allocator measures one shot after a warm-up shot
+//! (which fills the calibration cache and sizes the noise buffer). Lives
+//! in its own test binary because it installs the global allocator.
 
 use quma::core::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 struct Counting;
 
-static BYTES: AtomicU64 = AtomicU64::new(0);
-static CALLS: AtomicU64 = AtomicU64::new(0);
-
 thread_local! {
-    /// Only the measuring thread counts, so the test harness's own
-    /// threads never perturb the figures.
+    /// Only the measuring thread counts, into its own tallies, so the
+    /// test harness's other threads (and tests running beside this one)
+    /// never perturb the figures.
     static COUNTING: Cell<bool> = const { Cell::new(false) };
+    /// `(bytes, calls)` allocated while `COUNTING` was set.
+    static TALLY: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
 }
 
 fn note(size: usize) {
     if COUNTING.with(Cell::get) {
-        BYTES.fetch_add(size as u64, Ordering::Relaxed);
-        CALLS.fetch_add(1, Ordering::Relaxed);
+        TALLY.with(|t| {
+            let (bytes, calls) = t.get();
+            t.set((bytes + size as u64, calls + 1));
+        });
     }
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counting touches only atomics and
-// a const-initialized thread-local, neither of which allocates.
+// upholds the `GlobalAlloc` contract; the counting touches only
+// const-initialized thread-locals, which do not allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note(layout.size());
@@ -57,16 +59,19 @@ unsafe impl GlobalAlloc for Counting {
 static ALLOCATOR: Counting = Counting;
 
 /// `(bytes, calls)` allocated by one steady-state shot of a program that
-/// measures q0 once with a `window`-cycle window, on a noisy chip.
-fn steady_shot_allocations(window: u32) -> (u64, u64) {
+/// measures q0 once with a `window`-cycle window and stores the result
+/// to data memory, on a noisy chip with `mem_words` words of memory.
+fn steady_shot_allocations(window: u32, mem_words: usize) -> (u64, u64) {
     let src = format!(
-        "mov r15, 40000\nQNopReg r15\nPulse {{q0}}, X90\nWait 4\n\
-         MPG {{q0}}, {window}\nMD {{q0}}, r7\nWait {}\nhalt\n",
+        "mov r15, 40000\nmov r3, 64\nQNopReg r15\nPulse {{q0}}, X90\nWait 4\n\
+         MPG {{q0}}, {window}\nMD {{q0}}, r7\naddi r9, r7, 1\nstore r9, r3[0]\n\
+         Wait {}\nhalt\n",
         window + 100
     );
     let cfg = DeviceConfig {
         chip: ChipProfile::Paper,
         trace: TraceLevel::Off,
+        mem_words,
         ..DeviceConfig::default()
     };
     let mut session = Session::new(cfg).expect("config valid");
@@ -75,21 +80,31 @@ fn steady_shot_allocations(window: u32) -> (u64, u64) {
     session
         .run_shot(&program, plan.shot(0))
         .expect("warm-up shot");
-    BYTES.store(0, Ordering::Relaxed);
-    CALLS.store(0, Ordering::Relaxed);
+    TALLY.with(|t| t.set((0, 0)));
     COUNTING.with(|c| c.set(true));
     let report = session.run_shot(&program, plan.shot(1)).expect("shot");
     COUNTING.with(|c| c.set(false));
     assert_eq!(report.md_results.len(), 1);
-    (BYTES.load(Ordering::Relaxed), CALLS.load(Ordering::Relaxed))
+    assert_eq!(report.memory_word(64), report.registers[7] + 1);
+    TALLY.with(Cell::get)
 }
 
 #[test]
 fn shot_allocations_do_not_depend_on_the_readout_window() {
-    let short = steady_shot_allocations(300);
-    let long = steady_shot_allocations(3000);
+    let short = steady_shot_allocations(300, 4096);
+    let long = steady_shot_allocations(3000, 4096);
     assert_eq!(
         short, long,
         "(bytes, allocations) per shot: 300-cycle window {short:?}, 3000-cycle window {long:?}"
+    );
+}
+
+#[test]
+fn shot_allocations_do_not_depend_on_data_memory_size() {
+    let small = steady_shot_allocations(300, 4096);
+    let large = steady_shot_allocations(300, 65_536);
+    assert_eq!(
+        small, large,
+        "(bytes, allocations) per shot: 4096 words {small:?}, 65 536 words {large:?}"
     );
 }
