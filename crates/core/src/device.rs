@@ -59,6 +59,9 @@ pub struct RunStats {
     pub ctpg_triggers: Vec<u64>,
     /// Measurement pulses played.
     pub measurements: u64,
+    /// Standard-normal readout-noise draws the chip generated: one per
+    /// sample of each window on a noisy chain, none on a noiseless one.
+    pub readout_gaussians: u64,
     /// Digital marker assertions issued by the digital output unit.
     pub marker_pulses: Vec<crate::digital_out::MarkerPulse>,
 }
@@ -389,6 +392,7 @@ impl Device {
                 timing: self.backend.timing_stats(),
                 ctpg_triggers: self.backend.ctpg_triggers(),
                 measurements: self.backend.measurements(),
+                readout_gaussians: self.backend.readout_gaussians(),
                 marker_pulses: self.backend.marker_pulses(),
             },
             trace: self.backend.take_trace(self.config.trace),

@@ -11,6 +11,17 @@
 //! in one pass, in sample order. That is the same f64 arithmetic as
 //! synthesizing the trace, digitizing it and integrating it — the result
 //! is bit for bit the same — without a trace or a cosine per sample.
+//!
+//! A noiseless chain (`noise_sigma == 0`) is decided at calibration: the
+//! unit integrates both templates once and stores the two results, and
+//! the control box asks the chip for no noise at all (the chip still
+//! steps its RNG past the draws, see
+//! [`quma_qsim::chip::ChipBackend::measure_into`]). That is exact, not an
+//! approximation. A Box–Muller draw is finite (`|n| ≤ √(−2 ln
+//! f64::MIN_POSITIVE) ≈ 37.6`), so `0·n` is `±0`; `t + ±0` equals `t` up
+//! to the sign of zero; and the ADC returns an `i32` code, which has no
+//! signed zero. Every sample's code, hence `S_q`, is the noiseless
+//! template's, bit for bit, whatever the noise.
 
 use quma_qsim::resonator::{synthesize_trace, Discriminator, ReadoutParams};
 use quma_signal::adc::Adc;
@@ -35,6 +46,9 @@ pub struct MeasurementDiscriminationUnit {
     templates: [Vec<f64>; 2],
     noise_sigma: f64,
     adc: Adc,
+    /// Both outcomes' results on a noiseless chain, where the noise
+    /// cannot move a code (see the module docs); `None` when noisy.
+    noiseless: Option<[Discrimination; 2]>,
 }
 
 impl MeasurementDiscriminationUnit {
@@ -43,12 +57,26 @@ impl MeasurementDiscriminationUnit {
     pub fn calibrate(readout: &ReadoutParams, integration_time: f64) -> Self {
         let t0 = synthesize_trace(readout, 0, integration_time, || 0.0).samples;
         let t1 = synthesize_trace(readout, 1, integration_time, || 0.0).samples;
-        Self {
+        let mut mdu = Self {
             discriminator: Discriminator::from_templates(&t0, &t1),
             templates: [t0, t1],
             noise_sigma: readout.noise_sigma,
             adc: Adc::paper_acquisition(),
+            noiseless: None,
+        };
+        if mdu.noise_sigma == 0.0 {
+            let quiet = vec![0.0; mdu.templates[0].len()];
+            mdu.noiseless = Some([0, 1].map(|outcome| mdu.discriminate(outcome, &quiet)));
         }
+        mdu
+    }
+
+    /// The result for `outcome` on a noiseless chain, decided at
+    /// calibration: equal bit for bit to [`Self::discriminate`] with any
+    /// finite noise. `None` when the chain is noisy and the window's
+    /// noise must be integrated.
+    pub fn noiseless(&self, outcome: u8) -> Option<Discrimination> {
+        self.noiseless.map(|d| d[usize::from(outcome)])
     }
 
     /// The calibrated discriminator (weights, threshold, calibration
@@ -62,7 +90,7 @@ impl MeasurementDiscriminationUnit {
     /// integrate → threshold, over the samples `template[k] + σ·noise[k]`.
     pub fn discriminate(&self, outcome: u8, noise: &[f64]) -> Discrimination {
         let template = &self.templates[usize::from(outcome)];
-        debug_assert_eq!(noise.len(), template.len(), "one noise draw per sample");
+        assert_eq!(noise.len(), template.len(), "one noise draw per sample");
         let s = template
             .iter()
             .zip(noise)
@@ -140,6 +168,49 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn noiseless_chain_is_decided_at_calibration_bit_for_bit() {
+        // The largest Box–Muller magnitude: √(−2 ln f64::MIN_POSITIVE).
+        let extreme = (-2.0 * f64::MIN_POSITIVE.ln()).sqrt();
+        assert!((extreme - 37.6).abs() < 0.1);
+        let p = ReadoutParams::noiseless();
+        let mut draw = lcg(11);
+        for window in [1.5e-6, 0.385e-6] {
+            let n = p.samples_in(window);
+            let mdu = MeasurementDiscriminationUnit::calibrate(&p, window);
+            let fixed = [0.0, -0.0, extreme, -extreme, f64::MAX, -f64::MIN_POSITIVE];
+            let noises = [
+                vec![0.0; n],
+                vec![-0.0; n],
+                vec![extreme; n],
+                vec![-extreme; n],
+                (0..n).map(|k| fixed[k % fixed.len()]).collect(),
+                (0..n).map(|_| 40.0 * draw()).collect::<Vec<_>>(),
+            ];
+            for s in [0u8, 1u8] {
+                let stored = mdu.noiseless(s).expect("σ = 0 is decided at calibration");
+                for noise in &noises {
+                    let d = mdu.discriminate(s, noise);
+                    assert_eq!(stored.s.to_bits(), d.s.to_bits(), "state {s}, {n} samples");
+                    assert_eq!(stored.bit, d.bit, "state {s}, {n} samples");
+                }
+                assert_eq!(stored.bit, s);
+            }
+        }
+        let noisy =
+            MeasurementDiscriminationUnit::calibrate(&ReadoutParams::paper_default(), 1.5e-6);
+        assert_eq!(noisy.noiseless(0), None);
+        assert_eq!(noisy.noiseless(1), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "one noise draw per sample")]
+    fn short_noise_window_is_rejected() {
+        let p = ReadoutParams::paper_default();
+        let mdu = MeasurementDiscriminationUnit::calibrate(&p, 1.5e-6);
+        mdu.discriminate(0, &vec![0.0; p.samples_in(1.5e-6) - 1]);
     }
 
     #[test]

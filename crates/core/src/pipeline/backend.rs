@@ -113,6 +113,8 @@ pub struct Backend {
     last_chip_cycle: Vec<u64>,
     trace: Trace,
     measurements: u64,
+    /// Standard-normal readout draws the chip generated this run.
+    readout_gaussians: u64,
 }
 
 impl Backend {
@@ -154,6 +156,7 @@ impl Backend {
             last_chip_cycle: vec![0; config.num_qubits],
             trace: Trace::new(config.trace),
             measurements: 0,
+            readout_gaussians: 0,
         };
         for q in 0..config.num_qubits {
             // Calibrate each qubit's pulse library against its own Rabi
@@ -196,6 +199,7 @@ impl Backend {
         self.digital_out.clear();
         self.trace.clear();
         self.measurements = 0;
+        self.readout_gaussians = 0;
         self.chip.reset_all(0.0);
     }
 
@@ -462,15 +466,28 @@ impl Backend {
                     self.measurements += 1;
                     let t0 = at as f64 * config.cycle_time;
                     let dur = f64::from(duration_cycles) * config.cycle_time;
-                    let outcome = self.chip.measure_into(qubit, t0, dur, &mut self.noise);
                     // Discriminate now and latch the result on its window;
                     // the MD reports it at the unchanged write-back cycle.
-                    // A window superseded before any MD claimed it is gone.
-                    if let Some(i) = self.windows[qubit].iter().position(|w| w.id == window) {
-                        let cal = self.calibration(qubit, duration_cycles, config);
-                        let d = self.calibrations[cal]
-                            .mdu
-                            .discriminate(outcome, &self.noise);
+                    // A window superseded before any MD claimed it is gone,
+                    // and a noiseless chain's result was decided at
+                    // calibration: neither needs the chip's noise.
+                    let open = self.windows[qubit]
+                        .iter()
+                        .position(|w| w.id == window)
+                        .map(|i| (i, self.calibration(qubit, duration_cycles, config)));
+                    let noisy = open
+                        .is_some_and(|(_, cal)| self.calibrations[cal].mdu.noiseless(0).is_none());
+                    let outcome =
+                        self.chip
+                            .measure_into(qubit, t0, dur, noisy.then_some(&mut self.noise));
+                    if noisy {
+                        self.readout_gaussians += self.noise.len() as u64;
+                    }
+                    if let Some((i, cal)) = open {
+                        let mdu = &self.calibrations[cal].mdu;
+                        let d = mdu
+                            .noiseless(outcome)
+                            .unwrap_or_else(|| mdu.discriminate(outcome, &self.noise));
                         self.windows[qubit][i].result = Some(d);
                     }
                 }
@@ -578,6 +595,12 @@ impl Backend {
     /// Measurement pulses played this run.
     pub fn measurements(&self) -> u64 {
         self.measurements
+    }
+
+    /// Standard-normal readout draws the chip generated this run (0 when
+    /// every window was noiseless or unread).
+    pub fn readout_gaussians(&self) -> u64 {
+        self.readout_gaussians
     }
 
     /// Marker pulses asserted by the digital output unit this run.

@@ -410,7 +410,8 @@ impl QuantumChip {
 }
 
 /// The chip-simulation boundary the control pipeline drives: DAC sample
-/// streams and measurement triggers in, projection plus readout noise out.
+/// streams and measurement triggers in, projection plus readout noise
+/// out — the noise only on request, the RNG consumption unchanged.
 ///
 /// `quma-core`'s deterministic backend holds a `Box<dyn ChipBackend>` so
 /// the device profile can select the physics engine: the exact
@@ -419,17 +420,20 @@ impl QuantumChip {
 /// [`crate::stabilizer::StabilizerChip`] (Clifford circuits only).
 ///
 /// A measurement ([`Self::measure_into`]) returns the projected outcome
-/// and the window's standard-normal readout noise, not a trace: the
-/// heterodyne trace is fully determined by the outcome's noiseless
-/// template plus `noise_sigma` times that noise, so the control box's
-/// discrimination unit integrates its cached templates instead
-/// ([`Self::measure`] rebuilds the trace for callers that want it). Every
-/// implementation must consume its seeded RNG in the same order — one
-/// uniform draw per projection, then one Gaussian per trace sample from a
-/// fresh Box–Muller source — so seeded shots replay bit-identically
-/// across backends; new backends are pinned to that contract by a
-/// differential test suite against the exact chip (see
-/// `CONTRIBUTING.md`).
+/// and, when asked for, the window's standard-normal readout noise, not a
+/// trace: the heterodyne trace is fully determined by the outcome's
+/// noiseless template plus `noise_sigma` times that noise, so the control
+/// box's discrimination unit integrates its cached templates instead
+/// ([`Self::measure`] rebuilds the trace for callers that want it). A
+/// caller whose discrimination cannot depend on the noise (a noiseless
+/// chain, a window no MD can claim any more) does not ask, and the chip
+/// steps its RNG past the draws instead of computing them. Every
+/// implementation must consume its seeded RNG in the same order either
+/// way — one uniform draw per projection, then the uniforms of one
+/// Gaussian per trace sample from a fresh Box–Muller source (`2·⌈n/2⌉`
+/// for `n` samples) — so seeded shots replay bit-identically across
+/// backends; new backends are pinned to that contract by a differential
+/// test suite against the exact chip (see `CONTRIBUTING.md`).
 pub trait ChipBackend: Send + std::fmt::Debug {
     /// Number of qubits on the device.
     fn num_qubits(&self) -> usize;
@@ -463,11 +467,20 @@ pub trait ChipBackend: Send + std::fmt::Debug {
     fn drive(&mut self, id: QubitId, samples: &[C64], start: f64, dt: f64);
 
     /// Plays a measurement pulse on qubit `id` at lab time `start` for
-    /// `duration` seconds: projects the qubit (one uniform draw), replaces
-    /// the contents of `noise` with the window's standard-normal readout
-    /// noise (one draw per trace sample, from a fresh Box–Muller source),
-    /// and returns the projected outcome.
-    fn measure_into(&mut self, id: QubitId, start: f64, duration: f64, noise: &mut Vec<f64>) -> u8;
+    /// `duration` seconds: projects the qubit (one uniform draw) and
+    /// returns the projected outcome. With `Some(noise)`, replaces its
+    /// contents with the window's standard-normal readout noise (one draw
+    /// per trace sample, from a fresh Box–Muller source); with `None`,
+    /// computes no Gaussian but steps the RNG past exactly the uniforms
+    /// those draws would have taken, so the next measurement sees the
+    /// same stream either way.
+    fn measure_into(
+        &mut self,
+        id: QubitId,
+        start: f64,
+        duration: f64,
+        noise: Option<&mut Vec<f64>>,
+    ) -> u8;
 
     /// Plays a measurement pulse and returns the heterodyne trace the ADCs
     /// would digitize.
@@ -479,7 +492,7 @@ pub trait ChipBackend: Send + std::fmt::Debug {
     /// trace view of [`Self::measure_into`], bit for bit.
     fn measure_with_truth(&mut self, id: QubitId, start: f64, duration: f64) -> (ReadoutTrace, u8) {
         let mut noise = Vec::new();
-        let outcome = self.measure_into(id, start, duration, &mut noise);
+        let outcome = self.measure_into(id, start, duration, Some(&mut noise));
         let mut draws = noise.into_iter();
         let trace = synthesize_trace(&self.qubit(id).readout, outcome, duration, || {
             draws.next().expect("one noise draw per trace sample")
@@ -535,7 +548,13 @@ impl ChipBackend for QuantumChip {
         QuantumChip::drive(self, id, samples, start, dt);
     }
 
-    fn measure_into(&mut self, id: QubitId, start: f64, duration: f64, noise: &mut Vec<f64>) -> u8 {
+    fn measure_into(
+        &mut self,
+        id: QubitId,
+        start: f64,
+        duration: f64,
+        noise: Option<&mut Vec<f64>>,
+    ) -> u8 {
         let outcome = self.project(id, start, duration);
         draw_readout_noise(&mut self.rng, &self.qubits[id].readout, duration, noise);
         outcome
@@ -546,20 +565,34 @@ impl ChipBackend for QuantumChip {
     }
 }
 
-/// Replaces the contents of `noise` with the standard-normal readout noise
-/// of one `duration`-second window on `readout`: one draw per trace sample
-/// from a fresh Box–Muller source (the unused half of the last pair is
-/// discarded when the sample count is odd). This is the readout half of
-/// the [`ChipBackend`] RNG contract; every backend draws through it.
+/// The readout half of the [`ChipBackend`] RNG contract for one
+/// `duration`-second window on `readout`; every backend draws through it.
+///
+/// With `Some(noise)`, replaces its contents with the window's
+/// standard-normal readout noise: one draw per trace sample from a fresh
+/// Box–Muller source (the unused half of the last pair is discarded when
+/// the sample count is odd). With `None`, only steps `rng` past the
+/// uniforms that source would consume — two per pair, `2·⌈n/2⌉` for `n`
+/// samples — so the stream after the window is the same either way.
 pub(crate) fn draw_readout_noise(
     rng: &mut StdRng,
     readout: &ReadoutParams,
     duration: f64,
-    noise: &mut Vec<f64>,
+    noise: Option<&mut Vec<f64>>,
 ) {
-    let mut gauss = GaussianSource::new(rng);
-    noise.clear();
-    noise.extend((0..readout.samples_in(duration)).map(|_| gauss.next()));
+    let samples = readout.samples_in(duration);
+    match noise {
+        Some(noise) => {
+            let mut gauss = GaussianSource::new(rng);
+            noise.clear();
+            noise.extend((0..samples).map(|_| gauss.next()));
+        }
+        None => {
+            for _ in 0..2 * samples.div_ceil(2) {
+                let _: f64 = rng.random();
+            }
+        }
+    }
 }
 
 /// Box–Muller standard-normal source over a borrowed RNG. Shared with

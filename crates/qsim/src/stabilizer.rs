@@ -23,11 +23,12 @@
 //! * **RNG-stream compatibility** — [`ChipBackend::measure_into`]
 //!   consumes the seeded RNG in *exactly* the order the exact chip does
 //!   (one uniform draw for the projection, then one Gaussian per trace
-//!   sample), so a shot replayed from a [`quma` `SeedPlan`] seed produces
-//!   bit-identical outcome streams and readout noise (hence traces) on
-//!   both backends for circuits where the outcome probabilities agree
-//!   (they do for Clifford circuits: every probability is exactly 0, ½,
-//!   or 1).
+//!   sample — or, when the caller asks for no noise, the same uniforms
+//!   stepped past), so a shot replayed from a [`quma` `SeedPlan`] seed
+//!   produces bit-identical outcome streams and readout noise (hence
+//!   traces) on both backends for circuits where the outcome
+//!   probabilities agree (they do for Clifford circuits: every
+//!   probability is exactly 0, ½, or 1).
 //!
 //! On top of the tableau the chip keeps an explicit **Pauli error frame**:
 //! [`StabilizerChip::inject_x`] / [`StabilizerChip::inject_z`] fold an
@@ -471,11 +472,12 @@ impl ChipBackend for StabilizerChip {
         id: QubitId,
         _start: f64,
         duration: f64,
-        noise: &mut Vec<f64>,
+        noise: Option<&mut Vec<f64>>,
     ) -> u8 {
         // Mirror QuantumChip's RNG consumption exactly: one uniform draw
-        // before the projection, then the window's readout noise. This is
-        // what keeps seeded shots bit-identical across backends.
+        // before the projection, then the window's readout noise (drawn or
+        // stepped past). This is what keeps seeded shots bit-identical
+        // across backends.
         self.measurements += 1;
         let u: f64 = self.rng.random();
         let outcome = self.tableau.measure_with(id, u);

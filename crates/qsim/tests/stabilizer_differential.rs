@@ -170,6 +170,54 @@ fn noiseless_d3_rounds_bit_identical_to_exact_chip() {
     }
 }
 
+/// Readout noise is only drawn on request, but the RNG stream must not
+/// depend on the request: after `measure_into(.., None)` the next
+/// projection and noise draws are bit-identical to those after
+/// `measure_into(.., Some(buf))`, on both backends, for an even window and
+/// an odd one (whose discarded Box–Muller half must be stepped past too).
+#[test]
+fn skipped_readout_noise_leaves_the_rng_stream_unchanged() {
+    type MakeChip = fn(u64) -> Box<dyn ChipBackend>;
+    let backends: [(&str, MakeChip); 2] = [
+        ("exact", |seed| Box::new(exact_chip(1, seed))),
+        ("stabilizer", |seed| Box::new(fast_chip(1, seed))),
+    ];
+    for (name, make) in backends {
+        for (duration, samples) in [(1.5e-6, 1500), (0.385e-6, 385)] {
+            for seed in [3u64, 11, 29] {
+                // With `skip`, even steps ask for no noise; odd steps
+                // always draw. Returns every outcome and every drawn window.
+                let run = |skip: bool| {
+                    let mut chip = make(seed);
+                    assert_eq!(chip.qubit(0).readout.samples_in(duration), samples);
+                    let mut outcomes = Vec::new();
+                    let mut windows = Vec::new();
+                    for step in 0..8 {
+                        let t = step as f64 * 2e-6;
+                        y90(chip.as_mut(), 0, t, 1.0);
+                        let mut noise = Vec::new();
+                        let skipped = skip && step % 2 == 0;
+                        let want = (!skipped).then_some(&mut noise);
+                        outcomes.push(chip.measure_into(0, t + 30e-9, duration, want));
+                        if !skipped {
+                            assert_eq!(noise.len(), samples);
+                            windows.push(noise.iter().map(|n| n.to_bits()).collect::<Vec<_>>());
+                        }
+                    }
+                    (outcomes, windows)
+                };
+                let (drawn_bits, drawn_noise) = run(false);
+                let (skipped_bits, skipped_noise) = run(true);
+                let tag = format!("{name} chip, {samples} samples, seed {seed}");
+                assert_eq!(skipped_bits, drawn_bits, "outcomes, {tag}");
+                assert!(drawn_bits.contains(&0) && drawn_bits.contains(&1), "{tag}");
+                let odd_windows: Vec<_> = drawn_noise.iter().skip(1).step_by(2).cloned().collect();
+                assert_eq!(skipped_noise, odd_windows, "noise after a skip, {tag}");
+            }
+        }
+    }
+}
+
 #[test]
 fn seeded_x_injection_matches_exact_chip_statistics() {
     // Error patterns drawn from a fixed host seed: each backend sees the

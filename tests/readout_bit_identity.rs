@@ -134,3 +134,51 @@ fn stabilizer_distance7_qec_shots_are_pinned() {
     let (cfg, program) = qec(7, ChipProfile::Stabilizer);
     assert_eq!(digest_shots(cfg, &program, 16), (5959084066429050949, 304));
 }
+
+/// `(measurements, readout Gaussians)` of each shot of a batch.
+fn readout_draws(cfg: DeviceConfig, program: &Program, shots: u64) -> Vec<(u64, u64)> {
+    let mut session = Session::new(cfg).expect("config valid");
+    let loaded = session.load(program);
+    let batch = session.run_shots(&loaded, shots).expect("batch runs");
+    batch
+        .shots
+        .iter()
+        .map(|r| (r.stats.measurements, r.stats.readout_gaussians))
+        .collect()
+}
+
+/// The quickstart segment: initialise, two `X90`s, one 1500-sample window.
+const QUICKSTART: &str = "\
+    mov r15, 40000
+    QNopReg r15
+    Pulse {q0}, X90
+    Wait 4
+    Pulse {q0}, X90
+    Wait 4
+    MPG {q0}, 300
+    MD {q0}, r7
+    halt
+";
+
+#[test]
+fn noiseless_chains_generate_no_readout_gaussians() {
+    // 19 windows of 1500 samples per d = 7 shot (2 rounds × 6 ancillas
+    // + 7 data qubits), all decided at calibration.
+    let (cfg, program) = qec(7, ChipProfile::Stabilizer);
+    assert_eq!(readout_draws(cfg, &program, 4), vec![(19, 0); 4]);
+    let (cfg, program) = two_windows(ChipProfile::Ideal);
+    assert_eq!(readout_draws(cfg, &program, 4), vec![(4, 0); 4]);
+}
+
+#[test]
+fn noisy_chains_generate_one_gaussian_per_window_sample() {
+    let cfg = DeviceConfig {
+        chip: ChipProfile::Paper,
+        ..DeviceConfig::default()
+    };
+    let program = Assembler::new().assemble(QUICKSTART).expect("assembles");
+    assert_eq!(readout_draws(cfg, &program, 4), vec![(1, 1500); 4]);
+    // 1500 + 385 + 2 · 385 samples over the four windows.
+    let (cfg, program) = two_windows(ChipProfile::Paper);
+    assert_eq!(readout_draws(cfg, &program, 4), vec![(4, 2655); 4]);
+}
