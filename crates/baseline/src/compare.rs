@@ -92,7 +92,7 @@ pub fn compare(
 
 /// Builds the actual 21-combination AllXY waveform bank (not just the byte
 /// arithmetic) and checks it against the analytic number. Returns the bank
-/// for further use by benches.
+/// for further inspection.
 pub fn build_allxy_bank() -> WaveformBank {
     let compiler = SequenceCompiler::paper_default();
     let mut bank = WaveformBank::new();

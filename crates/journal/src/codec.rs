@@ -68,12 +68,12 @@ const fn crc_tables() -> [[u32; 256]; 8] {
 
 /// CRC-32 (IEEE 802.3 / zlib polynomial, reflected), slice-by-8.
 ///
-/// Result frames carry whole shot batches — a hundred kilobytes per
-/// frame is routine — so the checksum sits on the journal's hot append
-/// path. Eight bytes per step through precomputed tables runs several
-/// times faster than byte- or nibble-at-a-time and keeps the journal
-/// tax (gated by `scripts/scaling_gate.sh`) dominated by I/O rather
-/// than hashing.
+/// Every frame appended to either log is checksummed, so the CRC sits
+/// on the journal's append path: a 16-point sweep job writes about
+/// 2.5 KB (`crates/pool/tests/journal_bytes.rs` pins the exact count).
+/// Eight bytes per step through precomputed tables runs several times
+/// faster than byte- or nibble-at-a-time and keeps the journal's cost
+/// dominated by I/O rather than hashing.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut crc: u32 = !0;
     let mut chunks = bytes.chunks_exact(8);

@@ -149,6 +149,17 @@ fn concurrent_clients_each_get_their_exact_direct_result() {
                 &format!("client {client} on {workers} workers"),
             );
         }
+        // Amortization: no pooled job recalibrates a device. Each worker
+        // clones its pristine device once, for its first job, and serves
+        // every later job on that warm session.
+        let stats = pool.stats();
+        assert_eq!(stats.cold_device_builds, 0, "{workers} workers");
+        assert!(stats.warm_device_clones <= workers as u64, "{stats:?}");
+        assert_eq!(
+            stats.warm_device_clones + stats.warm_session_reuses,
+            CLIENTS,
+            "{workers} workers: one warm clone or reuse per job"
+        );
     }
 }
 
@@ -448,4 +459,62 @@ fn custom_seed_plans_replay_exactly() {
         .into_batch()
         .expect("shots output");
     assert_reports_eq(&replay.shots, &first.shots, "replay");
+}
+
+#[test]
+fn tracing_costs_four_spans_per_shots_job_and_changes_no_bits() {
+    // The observability tax as counts: on one worker, every shots job
+    // records exactly one span of each of `SPAN_KINDS` — a submit, a
+    // queued, a run and a single shot batch (the worker runs the whole
+    // job as one sequential block). Nothing more is recorded, nothing is
+    // dropped, and the traced pool's results equal the untraced pool's.
+    use quma_obs::trace::SpanKind;
+    const JOBS: u64 = 6;
+    const SHOTS: u64 = 4;
+    const SPAN_KINDS: [SpanKind; 4] = [
+        SpanKind::Submit,
+        SpanKind::Queued,
+        SpanKind::Run,
+        SpanKind::ShotBatch,
+    ];
+    let untraced = pool_with(1);
+    assert!(
+        untraced.trace_buffer().is_none(),
+        "untraced pools keep no ring"
+    );
+    let traced = DevicePool::new(
+        PoolConfig::new(base_config())
+            .with_workers(1)
+            .with_trace(1024),
+    )
+    .expect("pool builds");
+    let run = |pool: &DevicePool| {
+        let program = pool.assemble(SEGMENT).expect("assembles");
+        let handle = pool.submit(Job::shots(program, SHOTS)).expect("submits");
+        handle.wait().expect("runs").into_batch().expect("shots")
+    };
+    for job in 0..JOBS {
+        let want = run(&untraced);
+        let got = run(&traced);
+        assert_reports_eq(&got.shots, &want.shots, &format!("traced job {job}"));
+    }
+
+    let buf = traced.trace_buffer().expect("traced pools keep a ring");
+    assert_eq!(buf.dropped_events(), 0);
+    let events = buf.events();
+    assert_eq!(events.len(), JOBS as usize * SPAN_KINDS.len(), "{events:?}");
+    let mut traces: Vec<u64> = events.iter().map(|e| e.trace).collect();
+    traces.sort_unstable();
+    traces.dedup();
+    assert_eq!(traces.len(), JOBS as usize, "one trace id per job");
+    let want: Vec<u8> = SPAN_KINDS.iter().map(|&k| k as u8).collect();
+    for id in traces {
+        let mut kinds: Vec<u8> = events
+            .iter()
+            .filter(|e| e.trace == id)
+            .map(|e| e.kind as u8)
+            .collect();
+        kinds.sort_unstable();
+        assert_eq!(kinds, want, "spans of job {id}");
+    }
 }

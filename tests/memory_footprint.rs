@@ -39,18 +39,20 @@ fn quma_saving_grows_with_combinations() {
     // consumption [of QuMA] will remain the same and the memory saving
     // will be more significant."
     let mut prev_ratio = 0.0;
-    for combos in [21usize, 42, 84, 168, 336] {
+    for combos in [21usize, 42, 84, 168, 336, 672, 1344] {
         let shape = ExperimentShape {
             combinations: combos,
             ..ExperimentShape::allxy()
         };
         let r = compare(shape, UploadModel::usb(), 9);
         assert_eq!(r.quma_memory_bytes, 420, "QuMA memory is flat");
+        // Two 20-sample I/Q pulses per combination: 80 samples at 12 bits.
+        assert_eq!(r.baseline_memory_bytes, 120 * combos, "baseline memory");
         let ratio = r.baseline_memory_bytes as f64 / r.quma_memory_bytes as f64;
         assert!(ratio > prev_ratio, "saving must grow with combinations");
         prev_ratio = ratio;
     }
-    assert!(prev_ratio >= 96.0, "at 336 combinations the ratio is 96×");
+    assert_eq!(prev_ratio, 384.0, "at 1344 combinations the ratio is 384×");
 }
 
 #[test]
