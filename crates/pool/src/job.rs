@@ -9,7 +9,6 @@
 //! access and a stream of [`ShotChunk`]s for long batches.
 
 use crate::metrics::JobMetrics;
-use crossbeam::channel;
 use quma_core::prelude::{
     BatchReport, DeviceConfig, DeviceError, LoadedProgram, RunReport, SeedPlan, Session, ShotSeeds,
     TemplatePoint, Workload,
@@ -20,6 +19,7 @@ use quma_journal::{JobSpec, Journal, WalRecord};
 use std::any::Any;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::mpsc::{self, RecvError, TryRecvError};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -53,9 +53,9 @@ impl std::fmt::Display for Priority {
 ///
 /// A job moves `Queued → Running → Finished`, or jumps `Queued →
 /// Cancelled` when [`JobHandle::cancel`] wins the race against worker
-/// pickup. `Cancelled` is terminal: the worker that later drains the
-/// ticket observes the phase and delivers [`JobError::Cancelled`]
-/// without ever executing the job.
+/// pickup. `Cancelled` is terminal: the worker that later pops the job
+/// observes the phase and delivers [`JobError::Cancelled`] without ever
+/// executing the job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobPhase {
     /// Accepted into a queue; no worker has picked it up yet.
@@ -169,9 +169,11 @@ pub enum JobError {
     Device(DeviceError),
     /// An experiment job failed inside the harness.
     Experiment(ExperimentError),
-    /// The worker disappeared without delivering a result (the pool was
-    /// dropped with the handle still live, or a worker panicked).
+    /// The worker disappeared without delivering a result.
     WorkerLost,
+    /// The job panicked while running; carries the panic message. The
+    /// worker survives and serves the next job from pristine state.
+    Panicked(String),
     /// The job was cancelled via [`JobHandle::cancel`] while still
     /// queued; it never ran.
     Cancelled,
@@ -183,6 +185,7 @@ impl std::fmt::Display for JobError {
             JobError::Device(e) => write!(f, "job failed on device: {e}"),
             JobError::Experiment(e) => write!(f, "experiment job failed: {e}"),
             JobError::WorkerLost => write!(f, "worker lost before delivering a result"),
+            JobError::Panicked(message) => write!(f, "job panicked: {message}"),
             JobError::Cancelled => write!(f, "job cancelled while queued; it never ran"),
         }
     }
@@ -193,7 +196,7 @@ impl std::error::Error for JobError {
         match self {
             JobError::Device(e) => Some(e),
             JobError::Experiment(e) => Some(e),
-            JobError::WorkerLost | JobError::Cancelled => None,
+            JobError::WorkerLost | JobError::Panicked(_) | JobError::Cancelled => None,
         }
     }
 }
@@ -539,7 +542,7 @@ pub(crate) enum JobEvent {
 pub(crate) struct QueuedJob {
     pub(crate) id: JobId,
     pub(crate) job: Job,
-    pub(crate) events: channel::Sender<JobEvent>,
+    pub(crate) events: mpsc::Sender<JobEvent>,
     pub(crate) submitted_at: Instant,
     /// Lifecycle phase shared with the handle (see [`JobPhase`]).
     pub(crate) phase: Arc<AtomicU8>,
@@ -551,7 +554,7 @@ pub(crate) struct QueuedJob {
 #[derive(Debug)]
 pub struct JobHandle {
     id: JobId,
-    events: channel::Receiver<JobEvent>,
+    events: mpsc::Receiver<JobEvent>,
     chunks: VecDeque<ShotChunk>,
     outcome: Option<(Result<JobOutput, JobError>, Option<JobMetrics>)>,
     /// Lifecycle phase shared with the queue and the worker.
@@ -559,14 +562,14 @@ pub struct JobHandle {
     /// Present for journaled jobs: a won cancellation race is a durable
     /// fact (recovery must not re-run the job), so the handle writes the
     /// `Cancelled` record itself — the worker only learns of the
-    /// cancellation later, when it drains the ticket.
+    /// cancellation later, when it pops the job.
     journal: Option<Arc<Journal>>,
 }
 
 impl JobHandle {
     pub(crate) fn new(
         id: JobId,
-        events: channel::Receiver<JobEvent>,
+        events: mpsc::Receiver<JobEvent>,
         phase: Arc<AtomicU8>,
         journal: Option<Arc<Journal>>,
     ) -> Self {
@@ -634,8 +637,8 @@ impl JobHandle {
         while self.outcome.is_none() {
             match self.events.try_recv() {
                 Ok(event) => self.absorb(event),
-                Err(channel::TryRecvError::Empty) => break,
-                Err(channel::TryRecvError::Disconnected) => {
+                Err(TryRecvError::Empty) => break,
+                Err(TryRecvError::Disconnected) => {
                     self.outcome = Some((Err(JobError::WorkerLost), None));
                 }
             }
@@ -668,7 +671,7 @@ impl JobHandle {
             }
             match self.events.recv() {
                 Ok(event) => self.absorb(event),
-                Err(channel::RecvError) => {
+                Err(RecvError) => {
                     self.outcome = Some((Err(JobError::WorkerLost), None));
                 }
             }
@@ -693,7 +696,7 @@ impl JobHandle {
         while self.outcome.is_none() {
             match self.events.recv() {
                 Ok(event) => self.absorb(event),
-                Err(channel::RecvError) => {
+                Err(RecvError) => {
                     self.outcome = Some((Err(JobError::WorkerLost), None));
                 }
             }

@@ -7,14 +7,16 @@
 //! shot batches, sweeps, template sweeps, whole
 //! [`Experiment`](quma_experiments::harness::Experiment)s — and a pool of
 //! N warm [`Session`](quma_core::engine::Session) workers consumes them
-//! from a two-level priority queue, without ever giving up the engine's
-//! bit-exact determinism.
+//! from one two-class priority queue (a `Mutex` over both classes and
+//! one `Condvar`), without ever giving up the engine's bit-exact
+//! determinism.
 //!
 //! ```text
-//!  clients ──submit──▶ [high  ≤ depth] ──┐           ┌─ worker 0: warm Device clones
-//!     │                [normal ≤ depth] ─┼─ tickets ─┼─ worker 1: warm Device clones
-//!     │   QueueFull ◀── bound hit        │           └─ worker N: warm Device clones
-//!     └──────◀─ JobHandle: wait / poll / chunk stream ◀─ events ──┘
+//!  clients ──submit──▶ ┌ JobQueue: one Mutex + Condvar ┐       ┌─ worker 0: warm Device clones
+//!     │                │  high   ≤ depth (pops first)  ├─ pop ─┼─ worker 1: warm Device clones
+//!     │   QueueFull ◀──┤  normal ≤ depth               │       └─ worker N: warm Device clones
+//!     │   (bound hit)  └───────────────────────────────┘
+//!     └──────◀─ JobHandle: wait / poll / chunk stream ◀─ events (mpsc) ─┘
 //! ```
 //!
 //! The three guarantees, in order of importance:
@@ -22,12 +24,16 @@
 //! 1. **Deterministic replay.** A pooled job's result is bit-identical
 //!    to running the same work directly on one fresh `Session` —
 //!    independent of worker count, scheduling order, or what ran on the
-//!    worker before. Workers clone every job's device from a pristine
-//!    calibrated original and run it on a fresh session with the job's
-//!    own seed plan; nothing a job does (error injection, library
-//!    uploads) survives it. `tests/differential.rs` pins this for the
-//!    AllXY and QEC workloads across worker counts.
-//! 2. **Typed backpressure.** The two queues ([`Priority::High`] drains
+//!    worker before. Workload jobs run on a warm session the worker
+//!    reuses, which is safe because every item carries its own seeds
+//!    and starts from the architectural reset; experiment jobs, which
+//!    may mutate their device (error injection, library uploads), each
+//!    run on a fresh session around a clone of a pristine calibrated
+//!    original, so nothing they do survives them. A job that panics
+//!    fails with [`JobError::Panicked`] and its worker serves on.
+//!    `tests/differential.rs` pins this for the AllXY and QEC workloads
+//!    across worker counts.
+//! 2. **Typed backpressure.** Both classes ([`Priority::High`] drains
 //!    first) are bounded; the `depth + 1`-th waiting submission gets
 //!    [`SubmitError::QueueFull`] *immediately* instead of blocking the
 //!    client — the serving-layer version of the paper's bounded
@@ -46,6 +52,7 @@ pub mod cache;
 pub mod job;
 pub mod metrics;
 mod pool;
+mod queue;
 mod worker;
 
 pub use cache::{content_hash, ProgramCache, SlotSpec};
@@ -73,6 +80,7 @@ pub mod prelude {
 mod tests {
     use super::prelude::*;
     use quma_core::prelude::*;
+    use quma_experiments::prelude::*;
 
     const SEGMENT: &str = "\
         Wait 40000\n\
@@ -212,6 +220,108 @@ mod tests {
         assert_eq!(handle.cancel(), CancelOutcome::Finished);
         assert_eq!(handle.phase(), JobPhase::Finished);
         assert!(handle.wait().is_ok());
+    }
+
+    /// An experiment that panics inside `prepare` — a poison job.
+    struct PanicExperiment;
+
+    impl Experiment for PanicExperiment {
+        type Config = ();
+        type Output = ();
+
+        fn name(&self) -> &'static str {
+            "panic"
+        }
+
+        fn device_config(&self, _cfg: &()) -> DeviceConfig {
+            config()
+        }
+
+        fn prepare(&self, _cfg: &(), _session: &mut Session) -> Result<(), ExperimentError> {
+            panic!("poison job");
+        }
+
+        fn axes(&self, _cfg: &()) -> Result<SweepAxes, ExperimentError> {
+            unreachable!("prepare panics first")
+        }
+
+        fn analyze(
+            &self,
+            _cfg: &(),
+            _axes: &SweepAxes,
+            _reports: &[RunReport],
+        ) -> Result<(), ExperimentError> {
+            unreachable!("prepare panics first")
+        }
+    }
+
+    #[test]
+    fn a_panicking_job_fails_typed_and_its_worker_serves_on() {
+        // One worker: if the panic took the worker down, nothing would
+        // run the next job.
+        let pool = DevicePool::new(PoolConfig::new(config()).with_workers(1)).unwrap();
+        let err = pool
+            .submit_experiment(PanicExperiment, ())
+            .unwrap()
+            .wait()
+            .unwrap_err();
+        assert!(
+            matches!(&err, JobError::Panicked(m) if m == "poison job"),
+            "{err}"
+        );
+        let batch = pool
+            .submit_assembly(SEGMENT, 4)
+            .expect("the pool still accepts work")
+            .wait()
+            .expect("the next job runs")
+            .into_batch()
+            .unwrap();
+        let mut direct = Session::new(config()).unwrap();
+        let loaded = direct.load_assembly(SEGMENT).unwrap();
+        let want = direct.run_shots(&loaded, 4).unwrap();
+        assert_eq!(batch.len(), want.len());
+        for (a, b) in batch.shots.iter().zip(want.shots.iter()) {
+            assert_eq!(a.registers, b.registers);
+            assert_eq!(a.md_results, b.md_results);
+        }
+        let stats = pool.shutdown();
+        assert_eq!(stats.failed, 1);
+        assert_eq!(stats.completed, 1);
+    }
+
+    #[test]
+    fn a_journaled_panicking_job_recovers_as_failed() {
+        // The panic is a durable failure: recovery must not re-run the
+        // poison job.
+        let dir = std::env::temp_dir().join(format!("quma-poison-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let journaled = || {
+            PoolConfig::new(config())
+                .with_workers(1)
+                .with_journal(JournalConfig::new(&dir))
+        };
+        let pool = DevicePool::new(journaled()).unwrap();
+        let spec = JobSpec::Opaque {
+            tag: "panic".to_string(),
+            payload: Vec::new(),
+        };
+        let err = pool
+            .submit(Job::experiment(PanicExperiment, ()).with_spec(spec))
+            .unwrap()
+            .wait()
+            .unwrap_err();
+        assert!(
+            matches!(&err, JobError::Panicked(m) if m == "poison job"),
+            "{err}"
+        );
+        drop(pool);
+        let recovered = DevicePool::recover(journaled()).unwrap();
+        assert_eq!(recovered.jobs.len(), 1);
+        match &recovered.jobs[0].state {
+            RecoveredState::Failed(detail) => assert!(detail.contains("poison job"), "{detail}"),
+            other => panic!("a panicked job must recover as Failed, got {other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

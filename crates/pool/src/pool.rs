@@ -1,4 +1,4 @@
-//! The [`DevicePool`]: N warm workers, two bounded priority queues, and
+//! The [`DevicePool`]: N warm workers, one two-class bounded queue, and
 //! the submission surface many concurrent clients share.
 
 use crate::cache::{ProgramCache, SlotSpec};
@@ -7,8 +7,8 @@ use crate::job::{
     SpecError, SubmitError,
 };
 use crate::metrics::{PoolMetrics, PoolStats};
+use crate::queue::JobQueue;
 use crate::worker::worker_loop;
-use crossbeam::channel;
 use quma_core::prelude::{
     resolve_threads, BatchReport, Device, DeviceConfig, DeviceError, LoadedProgram, SeedPlan,
     ShotSeeds, TemplatePoint,
@@ -21,7 +21,7 @@ use quma_journal::{
 use quma_obs::trace::{now_ns, SpanEvent, SpanKind, TraceBuffer};
 use quma_obs::{HistogramSnapshot, Registry};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 /// How a pool is built.
@@ -113,33 +113,33 @@ pub(crate) struct PoolShared {
     pub(crate) dispatch_seq: AtomicU64,
     /// The write-ahead journal, when the pool is durable.
     pub(crate) journal: Option<Arc<Journal>>,
-}
-
-/// The sending half of the pool; dropped as one unit to initiate drain.
-struct Submitters {
-    high: channel::Sender<QueuedJob>,
-    normal: channel::Sender<QueuedJob>,
-    tickets: channel::Sender<()>,
+    /// Accepted jobs waiting for a worker, both priority classes.
+    pub(crate) queue: JobQueue,
 }
 
 /// A pool of warm devices serving jobs from many concurrent clients.
 ///
-/// * **Scheduling** — two bounded FIFO queues ([`Priority::High`] drains
-///   before [`Priority::Normal`]); a full queue rejects with typed
-///   backpressure ([`SubmitError::QueueFull`]) instead of blocking.
-/// * **Warmth** — each worker clones jobs' devices from pristine
-///   calibrated originals instead of re-synthesizing pulse libraries.
+/// * **Scheduling** — one queue of two bounded FIFO classes
+///   ([`Priority::High`] drains before [`Priority::Normal`]); a full
+///   class rejects with typed backpressure ([`SubmitError::QueueFull`])
+///   instead of blocking.
+/// * **Warmth** — each worker clones devices from pristine calibrated
+///   originals instead of re-synthesizing pulse libraries, and serves
+///   workload jobs on warm sessions it keeps across jobs.
 /// * **Caching** — identical assembly/template submissions share one
 ///   `Arc`'d program via the content-hash [`ProgramCache`].
 /// * **Determinism** — every job result is bit-identical to a direct
 ///   single-`Session` run of the same work, independent of worker
-///   count, scheduling order, and interleaving (each job runs on a
-///   fresh session from a pristine clone, with its own seed plan).
+///   count, scheduling order, and interleaving: workload items carry
+///   their own seeds and start from the architectural reset, and each
+///   experiment runs on a fresh session around a pristine clone.
+/// * **Containment** — a job that panics fails with
+///   [`JobError::Panicked`](crate::JobError::Panicked); its worker
+///   discards its warm sessions and serves on.
 /// * **Drain** — [`DevicePool::shutdown`] (and `Drop`) stops intake,
 ///   runs every accepted job to completion, and joins the workers.
 pub struct DevicePool {
     shared: Arc<PoolShared>,
-    submitters: Option<Submitters>,
     workers: Vec<std::thread::JoinHandle<()>>,
     next_id: AtomicU64,
     worker_count: usize,
@@ -151,7 +151,7 @@ impl std::fmt::Debug for DevicePool {
         f.debug_struct("DevicePool")
             .field("workers", &self.worker_count)
             .field("queue_depth", &self.queue_depth)
-            .field("shut_down", &self.submitters.is_none())
+            .field("shut_down", &self.workers.is_empty())
             .finish()
     }
 }
@@ -209,30 +209,20 @@ impl DevicePool {
             trace,
             dispatch_seq: AtomicU64::new(0),
             journal,
+            queue: JobQueue::default(),
         });
-        let (high_tx, high_rx) = channel::bounded(queue_depth);
-        let (normal_tx, normal_rx) = channel::bounded(queue_depth);
-        let (tickets_tx, tickets_rx) = channel::unbounded();
         let handles = (0..worker_count)
             .map(|index| {
                 let shared = Arc::clone(&shared);
                 let pristine = pristine.clone();
-                let tickets = tickets_rx.clone();
-                let high = high_rx.clone();
-                let normal = normal_rx.clone();
                 std::thread::Builder::new()
                     .name(format!("quma-pool-{index}"))
-                    .spawn(move || worker_loop(index, shared, pristine, tickets, high, normal))
+                    .spawn(move || worker_loop(index, shared, pristine))
                     .expect("spawn pool worker")
             })
             .collect();
         Ok(Self {
             shared,
-            submitters: Some(Submitters {
-                high: high_tx,
-                normal: normal_tx,
-                tickets: tickets_tx,
-            }),
             workers: handles,
             next_id: AtomicU64::new(0),
             worker_count,
@@ -248,7 +238,7 @@ impl DevicePool {
     /// [`SubmitError::InvalidJob`] instead of being silently ignored or
     /// run un-journaled.
     pub fn submit(&self, job: Job) -> Result<JobHandle, SubmitError> {
-        self.submit_inner(job, None, false)
+        self.submit_inner(job, None)
     }
 
     /// Re-enqueues a job recovery rebuilt, *preserving its journaled id*
@@ -257,12 +247,13 @@ impl DevicePool {
     /// rebuild itself — [`RecoveredState::NeedsResubmit`] — the layer
     /// that understands the opaque payload reconstructs the job and
     /// re-enters it here. No new submission record is written (the
-    /// original one is already durable), and the send blocks instead of
-    /// bouncing: recovery re-enqueues a backlog the queue bound was
-    /// never sized for, and rejecting durable work would silently lose
-    /// it.
+    /// original one is already durable), and the job is admitted past
+    /// the queue bound instead of bouncing: recovery re-enqueues a
+    /// backlog the bound was never sized for (it is already in memory,
+    /// replayed from the journal), and rejecting durable work would
+    /// silently lose it.
     pub fn resubmit_recovered(&self, id: JobId, job: Job) -> Result<JobHandle, SubmitError> {
-        self.submit_inner(job, Some(id), true)
+        self.submit_inner(job, Some(id))
     }
 
     /// Whether this pool journals spec-carrying jobs.
@@ -270,15 +261,9 @@ impl DevicePool {
         self.shared.journal.is_some()
     }
 
-    fn submit_inner(
-        &self,
-        job: Job,
-        fixed_id: Option<JobId>,
-        blocking: bool,
-    ) -> Result<JobHandle, SubmitError> {
+    fn submit_inner(&self, job: Job, fixed_id: Option<JobId>) -> Result<JobHandle, SubmitError> {
         let submit_start_ns = self.shared.trace.as_ref().map(|_| now_ns());
         job.validate().map_err(SubmitError::InvalidJob)?;
-        let submitters = self.submitters.as_ref().ok_or(SubmitError::ShutDown)?;
         let id = match fixed_id {
             Some(id) => id,
             None => self.next_id.fetch_add(1, Ordering::Relaxed),
@@ -320,7 +305,7 @@ impl DevicePool {
             }
             _ => None,
         };
-        let (events_tx, events_rx) = channel::unbounded();
+        let (events_tx, events_rx) = mpsc::channel();
         let priority = job.priority;
         let phase = Arc::new(AtomicU8::new(crate::job::PHASE_QUEUED));
         let queued = QueuedJob {
@@ -330,40 +315,23 @@ impl DevicePool {
             submitted_at: Instant::now(),
             phase: Arc::clone(&phase),
         };
-        let target = match priority {
-            Priority::High => &submitters.high,
-            Priority::Normal => &submitters.normal,
+        // Recovered jobs (a fixed id) are admitted past the bound.
+        let bound = fixed_id.is_none().then_some(self.queue_depth);
+        let Some(depth) = self.shared.queue.push(queued, bound) else {
+            self.shared.metrics.rejected.inc();
+            // The submission is already durable; neutralize it so
+            // recovery does not resurrect a job the client was told
+            // never entered the queue.
+            if let Some(journal) = &journal {
+                let _ = journal.append_traced(&WalRecord::Cancelled { id }, id);
+            }
+            return Err(SubmitError::QueueFull {
+                priority,
+                depth: self.queue_depth,
+            });
         };
-        if blocking {
-            target.send(queued).map_err(|_| SubmitError::ShutDown)?;
-        } else {
-            target.try_send(queued).map_err(|err| match err {
-                channel::TrySendError::Full(_) => {
-                    self.shared.metrics.rejected.inc();
-                    // The submission is already durable; neutralize it so
-                    // recovery does not resurrect a job the client was
-                    // told never entered the queue.
-                    if let Some(journal) = &journal {
-                        let _ = journal.append_traced(&WalRecord::Cancelled { id }, id);
-                    }
-                    SubmitError::QueueFull {
-                        priority,
-                        depth: self.queue_depth,
-                    }
-                }
-                channel::TrySendError::Disconnected(_) => SubmitError::ShutDown,
-            })?;
-        }
-        // Job before ticket: a worker that holds a ticket must find a job.
-        submitters
-            .tickets
-            .send(())
-            .map_err(|_| SubmitError::ShutDown)?;
         self.shared.metrics.submitted.inc();
-        self.shared
-            .metrics
-            .max_queue_depth
-            .fetch_max(target.len() as u64);
+        self.shared.metrics.max_queue_depth.fetch_max(depth as u64);
         if let (Some(trace), Some(start_ns)) = (&self.shared.trace, submit_start_ns) {
             trace.record(SpanEvent {
                 kind: SpanKind::Submit,
@@ -516,14 +484,6 @@ impl DevicePool {
     /// The per-class queue bound.
     pub fn queue_depth(&self) -> usize {
         self.queue_depth
-    }
-
-    /// Jobs currently queued per class: `(high, normal)`.
-    pub fn queued(&self) -> (usize, usize) {
-        match &self.submitters {
-            Some(s) => (s.high.len(), s.normal.len()),
-            None => (0, 0),
-        }
     }
 
     /// A point-in-time snapshot of the pool's counters — a
@@ -719,10 +679,9 @@ impl DevicePool {
     }
 
     fn drain(&mut self) {
-        // Dropping the senders disconnects the ticket channel once its
-        // backlog (one ticket per accepted job) is drained; each worker
-        // finishes its backlog share and exits.
-        self.submitters = None;
+        // Closing stops intake; each worker keeps popping until the
+        // backlog is gone, then exits.
+        self.shared.queue.close();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }

@@ -24,18 +24,24 @@
 //! Together that makes every pooled result bit-identical to a direct
 //! single-session run — regardless of which worker picks the job up, in
 //! what order, or how many workers exist.
+//!
+//! Containment: a job that panics fails with [`JobError::Panicked`]
+//! (journaled as a failure, so recovery never re-runs it), and its
+//! worker drops its warm sessions — one may have been left mid-run — so
+//! the next job starts from a pristine clone.
 
 use crate::job::{JobError, JobEvent, JobId, JobKind, JobOutput, Priority, QueuedJob, ShotChunk};
 use crate::metrics::JobMetrics;
 use crate::pool::PoolShared;
-use crossbeam::channel;
 use quma_core::prelude::{
     BatchReport, Device, DeviceConfig, DeviceError, Session, SessionTracer, Workload,
 };
 use quma_journal::WalRecord;
 use quma_obs::trace::{now_ns, SpanEvent, SpanKind};
+use std::any::Any;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::Instant;
 
 /// Pristine devices a worker can clone per job, plus long-lived warm
@@ -111,38 +117,25 @@ impl WarmSet {
     }
 }
 
-/// The worker thread body. Tickets gate the loop: one ticket is sent per
-/// queued job (job first, ticket second), so a received ticket
-/// guarantees a job is waiting in one of the two queues; high drains
-/// before normal. When the pool drops its senders the ticket channel
-/// disconnects *after* its backlog is drained — the graceful-drain
-/// property: every accepted job runs before any worker exits.
-pub(crate) fn worker_loop(
-    index: usize,
-    shared: Arc<PoolShared>,
-    pristine: Device,
-    tickets: channel::Receiver<()>,
-    high: channel::Receiver<QueuedJob>,
-    normal: channel::Receiver<QueuedJob>,
-) {
+/// The worker thread body: runs queued jobs, high before normal, until
+/// the pool closes its queue and the backlog is drained — the
+/// graceful-drain property: every accepted job runs before any worker
+/// exits.
+pub(crate) fn worker_loop(index: usize, shared: Arc<PoolShared>, pristine: Device) {
     let mut warm = WarmSet::new(pristine);
-    while tickets.recv().is_ok() {
-        // The submit-side ordering (job enqueued before its ticket) plus
-        // one-pop-per-ticket accounting guarantees at least one job is
-        // available across the two queues at every instant until this
-        // worker's pop succeeds; the spin resolves the narrow race where
-        // another worker pops "our" job between the two try_recvs.
-        let queued = loop {
-            if let Ok(job) = high.try_recv() {
-                break job;
-            }
-            if let Ok(job) = normal.try_recv() {
-                break job;
-            }
-            std::hint::spin_loop();
-        };
+    while let Some(queued) = shared.queue.pop() {
         run_job(index, &shared, &mut warm, queued);
     }
+}
+
+/// The text a panic was raised with (`panic!` payloads are a `&str` or
+/// a `String`).
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|text| text.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
 fn run_job(worker: usize, shared: &Arc<PoolShared>, warm: &mut WarmSet, queued: QueuedJob) {
@@ -192,7 +185,13 @@ fn run_job(worker: usize, shared: &Arc<PoolShared>, warm: &mut WarmSet, queued: 
         (Some(journal), Some(_)) => Some(Arc::clone(journal)),
         _ => None,
     };
-    let result = execute(worker, shared, warm, &events, id, job);
+    let result = panic::catch_unwind(AssertUnwindSafe(|| {
+        execute(worker, shared, warm, &events, id, job)
+    }))
+    .unwrap_or_else(|payload| {
+        warm.sessions.clear();
+        Err(JobError::Panicked(panic_message(payload.as_ref())))
+    });
     // Journal the terminal state before the handle can observe it, so a
     // client that saw a result can rely on recovery re-serving it. Batch
     // payloads go to the result log in full; sweep completions are
@@ -301,7 +300,7 @@ fn execute(
     worker: usize,
     shared: &Arc<PoolShared>,
     warm: &mut WarmSet,
-    events: &channel::Sender<JobEvent>,
+    events: &mpsc::Sender<JobEvent>,
     id: JobId,
     job: crate::job::Job,
 ) -> Result<JobOutput, JobError> {

@@ -6,7 +6,7 @@
 use quma_core::prelude::*;
 use quma_experiments::prelude::*;
 use quma_pool::prelude::*;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 
 const SEGMENT: &str = "\
     Wait 40000\n\
@@ -104,14 +104,12 @@ fn concurrent_clients_each_get_their_exact_direct_result() {
     const CLIENTS: u64 = 12;
     const SHOTS: u64 = 4;
     for workers in WORKER_COUNTS {
-        // The vendored crossbeam scope requires 'static closures, so the
-        // clients share the pool behind an Arc rather than a borrow.
-        let pool = Arc::new(pool_with(workers));
-        let handles: Vec<(u64, JobHandle)> = crossbeam::thread::scope(|s| {
+        let pool = pool_with(workers);
+        let handles: Vec<(u64, JobHandle)> = std::thread::scope(|s| {
             let spawned: Vec<_> = (0..CLIENTS)
                 .map(|client| {
-                    let pool = Arc::clone(&pool);
-                    s.spawn(move |_| {
+                    let pool = &pool;
+                    s.spawn(move || {
                         let plan = SeedPlan {
                             chip_base: 0xC11E_4700 + client,
                             jitter_base: 0x0DD5 ^ client,
@@ -128,8 +126,7 @@ fn concurrent_clients_each_get_their_exact_direct_result() {
                 .into_iter()
                 .map(|h| h.join().expect("client thread"))
                 .collect()
-        })
-        .expect("scope");
+        });
         for (client, handle) in handles {
             let batch = handle
                 .wait()
@@ -318,7 +315,7 @@ fn worker_state_never_leaks_between_jobs() {
 /// "jobs queued behind a busy worker" a guarantee instead of a timing
 /// assumption.
 struct GateExperiment {
-    release: crossbeam::channel::Receiver<()>,
+    release: mpsc::Receiver<()>,
 }
 
 impl Experiment for GateExperiment {
@@ -370,7 +367,7 @@ fn high_priority_jobs_dispatch_before_queued_normal_jobs() {
     // pool-wide pickup order).
     let pool = pool_with(1);
     let program = pool.assemble(SEGMENT).expect("assembles");
-    let (release, gate) = crossbeam::channel::unbounded();
+    let (release, gate) = mpsc::channel();
     let blocker = pool
         .submit_experiment(GateExperiment { release: gate }, ())
         .expect("submits");
@@ -403,37 +400,48 @@ fn high_priority_jobs_dispatch_before_queued_normal_jobs() {
 
 #[test]
 fn full_queue_rejects_with_typed_backpressure() {
+    // One worker, provably parked inside a gate job: nothing drains, so
+    // exactly `DEPTH` submissions queue and the next one is pushed back.
+    const DEPTH: usize = 2;
     let pool = DevicePool::new(
         PoolConfig::new(base_config())
             .with_workers(1)
-            .with_queue_depth(2),
+            .with_queue_depth(DEPTH),
     )
     .expect("pool builds");
     let program = pool.assemble(SEGMENT).expect("assembles");
-    let mut accepted: Vec<JobHandle> = Vec::new();
-    let mut rejected = 0u64;
-    // A 1-worker pool draining ~ms jobs cannot keep up with µs submits:
-    // the 2-deep queue must fill well within this burst.
-    for _ in 0..500 {
-        match pool.submit(Job::shots(Arc::clone(&program), 2)) {
-            Ok(handle) => accepted.push(handle),
-            Err(SubmitError::QueueFull { priority, depth }) => {
-                assert_eq!(priority, Priority::Normal);
-                assert_eq!(depth, 2);
-                rejected += 1;
-            }
-            Err(other) => panic!("unexpected submit error: {other}"),
-        }
+    let (release, gate) = mpsc::channel();
+    let blocker = pool
+        .submit_experiment(GateExperiment { release: gate }, ())
+        .expect("submits");
+    while blocker.phase() != JobPhase::Running {
+        std::thread::yield_now();
     }
-    assert!(rejected > 0, "the bounded queue never pushed back");
+    let accepted: Vec<JobHandle> = (0..DEPTH)
+        .map(|_| {
+            pool.submit(Job::shots(Arc::clone(&program), 2))
+                .expect("a free slot accepts")
+        })
+        .collect();
+    match pool.submit(Job::shots(program, 2)) {
+        Err(SubmitError::QueueFull { priority, depth }) => {
+            assert_eq!(priority, Priority::Normal);
+            assert_eq!(depth, DEPTH);
+        }
+        other => panic!(
+            "submission {} must be pushed back, got {other:?}",
+            DEPTH + 1
+        ),
+    }
     // Backpressure sheds load without corrupting accepted work.
-    let accepted_count = accepted.len() as u64;
+    release.send(()).expect("worker is waiting");
+    blocker.wait().expect("blocker runs");
     for handle in accepted {
         assert!(handle.wait().is_ok());
     }
     let stats = pool.shutdown();
-    assert_eq!(stats.rejected, rejected);
-    assert_eq!(stats.completed, accepted_count);
+    assert_eq!(stats.rejected, 1);
+    assert_eq!(stats.completed, DEPTH as u64 + 1);
 }
 
 #[test]

@@ -12,7 +12,7 @@
 use quma_core::prelude::*;
 use quma_journal::codec::{scan_frames, WAL_MAGIC};
 use quma_journal::record::WalRecord;
-use quma_journal::{JobSpec, SweepPointSpec};
+use quma_journal::{JobSpec, Journal, SweepPointSpec};
 use quma_pool::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -260,6 +260,63 @@ fn unfinished_shot_batch_reruns_bit_identically() {
     assert_eq!(recovered.pool.shutdown().executed_shots, 4);
     std::fs::remove_dir_all(&dir).ok();
     std::fs::remove_dir_all(&crash_dir).ok();
+}
+
+#[test]
+fn recovery_admits_a_backlog_deeper_than_the_queue_bound() {
+    // A crash can leave more unfinished work in the journal than the
+    // restarted pool's 2-deep queue admits. Recovery re-enqueues all of
+    // it: no durable job bounces, and each re-runs bit-identically.
+    const SHOTS: u64 = 3;
+    let dir = temp_dir("backlog");
+    let plans: Vec<(u64, u64)> = (0..5u64).map(|i| (0xB0 + i, 0xC0 + i)).collect();
+    let journal = Journal::open(&JournalConfig::new(&dir)).expect("journal opens");
+    for (id, &plan) in (0u64..).zip(&plans) {
+        journal
+            .append(&WalRecord::Submitted {
+                id,
+                priority: 0,
+                client: "backlog".to_string(),
+                spec: JobSpec::Shots {
+                    source: SEGMENT.to_string(),
+                    shots: SHOTS,
+                    plan: Some(plan),
+                    chunk: 0,
+                },
+            })
+            .expect("appends");
+    }
+    drop(journal);
+
+    let config = PoolConfig::new(base_config())
+        .with_workers(1)
+        .with_queue_depth(2)
+        .with_journal(JournalConfig::new(&dir));
+    let recovered = DevicePool::recover(config).expect("recovers");
+    assert_eq!(recovered.jobs.len(), plans.len());
+    for (job, &(chip_base, jitter_base)) in recovered.jobs.into_iter().zip(&plans) {
+        let got = match job.state {
+            RecoveredState::Resumed(handle) => {
+                handle.wait().expect("re-runs").into_batch().expect("batch")
+            }
+            other => panic!(
+                "job {}: unfinished batch must resume, got {other:?}",
+                job.id
+            ),
+        };
+        let mut direct = Session::new(base_config()).expect("session");
+        direct.set_seed_plan(SeedPlan {
+            chip_base,
+            jitter_base,
+        });
+        let loaded = direct.load_assembly(SEGMENT).expect("assembles");
+        let want = direct.run_shots(&loaded, SHOTS).expect("direct batch");
+        assert_reports_eq(&got.shots, &want.shots, &format!("job {}", job.id));
+    }
+    let stats = recovered.pool.shutdown();
+    assert_eq!(stats.rejected, 0);
+    assert_eq!(stats.executed_shots, SHOTS * plans.len() as u64);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

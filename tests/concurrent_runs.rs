@@ -2,8 +2,8 @@
 //! parallel threads must produce bit-identical reports (the simulator owns
 //! all of its state — no hidden globals, no ambient randomness).
 
-use crossbeam::thread;
 use quma::core::prelude::*;
+use std::thread;
 
 const PROGRAM: &str = "\
     mov r15, 4000
@@ -46,14 +46,13 @@ fn parallel_devices_reproduce_serial_results() {
     let serial: Vec<_> = (0..8u64).map(run_one).collect();
     let parallel: Vec<_> = thread::scope(|s| {
         let handles: Vec<_> = (0..8u64)
-            .map(|seed| s.spawn(move |_| run_one(seed)))
+            .map(|seed| s.spawn(move || run_one(seed)))
             .collect();
         handles
             .into_iter()
             .map(|h| h.join().expect("no panic"))
             .collect()
-    })
-    .expect("scope");
+    });
     assert_eq!(serial, parallel);
 }
 
