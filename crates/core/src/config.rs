@@ -106,6 +106,51 @@ impl DeviceConfig {
         }
     }
 
+    /// True when `self` and `other` build the same calibrated device up
+    /// to its seeds: every field but `chip_seed` and `jitter_seed` is
+    /// equal. Seeds only seed the RNGs, so a device built for one config
+    /// serves the other after [`crate::device::Device::rebase`]; the
+    /// device pool keys its warm devices and sessions on this.
+    pub fn same_calibration(&self, other: &Self) -> bool {
+        // Destructured, so a new field is compared unless listed here.
+        let Self {
+            jitter_seed: _,
+            chip_seed: _,
+            num_qubits,
+            cycle_time,
+            sample_rate,
+            ctpg_delay_cycles,
+            uop_delay_cycles,
+            msmt_trigger_delay_cycles,
+            mdu_latency_cycles,
+            queue_capacity,
+            decode_fifo_capacity,
+            max_jitter_cycles,
+            chip,
+            collector_k,
+            mem_words,
+            max_host_cycles,
+            trace,
+            start_alignment_cycles,
+        } = self;
+        *num_qubits == other.num_qubits
+            && *cycle_time == other.cycle_time
+            && *sample_rate == other.sample_rate
+            && *ctpg_delay_cycles == other.ctpg_delay_cycles
+            && *uop_delay_cycles == other.uop_delay_cycles
+            && *msmt_trigger_delay_cycles == other.msmt_trigger_delay_cycles
+            && *mdu_latency_cycles == other.mdu_latency_cycles
+            && *queue_capacity == other.queue_capacity
+            && *decode_fifo_capacity == other.decode_fifo_capacity
+            && *max_jitter_cycles == other.max_jitter_cycles
+            && *chip == other.chip
+            && *collector_k == other.collector_k
+            && *mem_words == other.mem_words
+            && *max_host_cycles == other.max_host_cycles
+            && *trace == other.trace
+            && *start_alignment_cycles == other.start_alignment_cycles
+    }
+
     /// Converts cycles to seconds under this configuration.
     pub fn cycles_to_seconds(&self, cycles: u64) -> f64 {
         cycles as f64 * self.cycle_time
@@ -201,6 +246,39 @@ mod tests {
             ..DeviceConfig::default()
         };
         assert!(exact.validate().is_err());
+    }
+
+    #[test]
+    fn same_calibration_ignores_only_the_seeds() {
+        let base = DeviceConfig::default();
+        let reseeded = DeviceConfig {
+            chip_seed: 1,
+            jitter_seed: 2,
+            ..base.clone()
+        };
+        assert!(base.same_calibration(&reseeded));
+        assert_ne!(base, reseeded);
+        let recalibrated = [
+            DeviceConfig {
+                num_qubits: 2,
+                ..base.clone()
+            },
+            DeviceConfig {
+                chip: ChipProfile::Paper,
+                ..base.clone()
+            },
+            DeviceConfig {
+                max_jitter_cycles: 1,
+                ..base.clone()
+            },
+            DeviceConfig {
+                trace: TraceLevel::Off,
+                ..base.clone()
+            },
+        ];
+        for other in recalibrated {
+            assert!(!base.same_calibration(&other), "{other:?}");
+        }
     }
 
     #[test]

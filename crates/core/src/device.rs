@@ -297,6 +297,18 @@ impl Device {
         self.frontend.reseed(jitter_seed);
     }
 
+    /// Reseeds like [`Device::reseed`] *and* records the seeds in the
+    /// config: afterwards the device is indistinguishable from
+    /// `Device::new` of its config with these seeds — same `config()`,
+    /// same RNG streams. Seeds enter nothing else a build calibrates,
+    /// so this is how a warm device built for one seed serves another
+    /// (see [`DeviceConfig::same_calibration`]).
+    pub fn rebase(&mut self, chip_seed: u64, jitter_seed: u64) {
+        self.config.chip_seed = chip_seed;
+        self.config.jitter_seed = jitter_seed;
+        self.reseed(chip_seed, jitter_seed);
+    }
+
     /// Assembles and runs a source program.
     pub fn run_assembly(&mut self, source: &str) -> Result<RunReport, DeviceError> {
         let program = quma_isa::asm::Assembler::new().assemble(source)?;
@@ -797,6 +809,57 @@ mod tests {
         assert_eq!(got.md_results, want.md_results);
         assert_eq!(got.trace.pulse_timeline(), want.trace.pulse_timeline());
         assert_eq!(got.stats.ctpg_triggers, want.stats.ctpg_triggers);
+    }
+
+    #[test]
+    fn a_rebased_clone_is_a_fresh_build() {
+        // Seeds stay out of device identity: a clone of a device built
+        // (and even run) with seeds `t`, rebased to `s`, must equal
+        // `Device::new` with `s` — its config, and every bit of its first
+        // shot, RNG-dependent readout and jitter included.
+        let src = "Wait 4000\nPulse {q0, q1, q2}, X90\nWait 4\n\
+                   MPG {q0, q1, q2}, 300\nMD {q0}, r7\nMD {q1}, r8\nMD {q2}, r9\n\
+                   Wait 100\nPulse {q1}, Y90\nWait 4\nMPG {q1}, 300\nMD {q1}, r10\nhalt\n";
+        let profiles = [
+            crate::config::ChipProfile::Paper,
+            crate::config::ChipProfile::Ideal,
+            crate::config::ChipProfile::Stabilizer,
+        ];
+        for chip in profiles {
+            let with_seeds = |chip_seed, jitter_seed| DeviceConfig {
+                num_qubits: 3,
+                chip,
+                chip_seed,
+                jitter_seed,
+                max_jitter_cycles: 3,
+                trace: crate::trace::TraceLevel::Full,
+                ..DeviceConfig::default()
+            };
+            let mut bits = std::collections::BTreeSet::new();
+            for (s, t) in [((0x11, 0x22), (0x33, 0x44)), ((7, 8), (0xAB, 0xCD))] {
+                let fresh = Device::new(with_seeds(s.0, s.1)).unwrap();
+                let built_t = Device::new(with_seeds(t.0, t.1)).unwrap();
+                let mut used_t = built_t.clone();
+                used_t.run_assembly(src).unwrap(); // warm its caches, advance its RNGs
+                for (case, mut rebased) in [("fresh", built_t), ("used", used_t)] {
+                    rebased.rebase(s.0, s.1);
+                    assert_eq!(rebased.config(), fresh.config(), "{chip:?} {case}");
+                    let got = rebased.run_assembly(src).unwrap();
+                    let want = fresh.clone().run_assembly(src).unwrap();
+                    assert_eq!(
+                        format!("{got:?}"),
+                        format!("{want:?}"),
+                        "{chip:?} {case}: first shot"
+                    );
+                    bits.extend(got.md_results.iter().map(|m| m.bit));
+                }
+            }
+            assert_eq!(
+                bits.len(),
+                2,
+                "{chip:?}: the shots exercise random outcomes"
+            );
+        }
     }
 
     #[test]
