@@ -15,7 +15,7 @@
 //! A noiseless chain (`noise_sigma == 0`) is decided at calibration: the
 //! unit integrates both templates once and stores the two results, and
 //! the control box asks the chip for no noise at all (the chip still
-//! steps its RNG past the draws, see
+//! jumps its RNG past the draws, see
 //! [`quma_qsim::chip::ChipBackend::measure_into`]). That is exact, not an
 //! approximation. A Box–Muller draw is finite (`|n| ≤ √(−2 ln
 //! f64::MIN_POSITIVE) ≈ 37.6`), so `0·n` is `±0`; `t + ±0` equals `t` up

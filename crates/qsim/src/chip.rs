@@ -30,8 +30,9 @@ use crate::resonator::{synthesize_trace, ReadoutParams, ReadoutTrace};
 use crate::state::DensityMatrix;
 use crate::transmon::{rotation_from_pulse, Transmon, TransmonParams};
 use crate::twoqubit::Mat4;
-use rand::rngs::StdRng;
+use rand::rngs::{Jump, StdRng};
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// Index of a qubit on the chip.
 pub type QubitId = usize;
@@ -65,6 +66,8 @@ pub struct QuantumChip {
     /// Per-qubit membership in `joints`.
     membership: Vec<Option<usize>>,
     rng: StdRng,
+    /// Jumps past skipped readout windows (see [`draw_readout_noise`]).
+    skips: WindowJumps,
     measurements: u64,
     /// Reusable kernel buffers threaded through every register
     /// merge/split, so the hot QEC loop (couple on CZ, factor-out on
@@ -80,6 +83,7 @@ impl QuantumChip {
             joints: Vec::new(),
             membership: Vec::new(),
             rng: StdRng::seed_from_u64(seed),
+            skips: WindowJumps::default(),
             measurements: 0,
             scratch: Scratch::new(),
         }
@@ -427,7 +431,7 @@ impl QuantumChip {
 /// ([`Self::measure`] rebuilds the trace for callers that want it). A
 /// caller whose discrimination cannot depend on the noise (a noiseless
 /// chain, a window no MD can claim any more) does not ask, and the chip
-/// steps its RNG past the draws instead of computing them. Every
+/// jumps its RNG past the draws instead of computing them. Every
 /// implementation must consume its seeded RNG in the same order either
 /// way — one uniform draw per projection, then the uniforms of one
 /// Gaussian per trace sample from a fresh Box–Muller source (`2·⌈n/2⌉`
@@ -471,9 +475,9 @@ pub trait ChipBackend: Send + std::fmt::Debug {
     /// returns the projected outcome. With `Some(noise)`, replaces its
     /// contents with the window's standard-normal readout noise (one draw
     /// per trace sample, from a fresh Box–Muller source); with `None`,
-    /// computes no Gaussian but steps the RNG past exactly the uniforms
-    /// those draws would have taken, so the next measurement sees the
-    /// same stream either way.
+    /// skips: computes no Gaussian, and one RNG jump advances past
+    /// exactly the uniforms those draws would have taken, so the next
+    /// measurement sees the same stream either way.
     fn measure_into(
         &mut self,
         id: QubitId,
@@ -556,7 +560,13 @@ impl ChipBackend for QuantumChip {
         noise: Option<&mut Vec<f64>>,
     ) -> u8 {
         let outcome = self.project(id, start, duration);
-        draw_readout_noise(&mut self.rng, &self.qubits[id].readout, duration, noise);
+        draw_readout_noise(
+            &mut self.rng,
+            &mut self.skips,
+            &self.qubits[id].readout,
+            duration,
+            noise,
+        );
         outcome
     }
 
@@ -571,11 +581,13 @@ impl ChipBackend for QuantumChip {
 /// With `Some(noise)`, replaces its contents with the window's
 /// standard-normal readout noise: one draw per trace sample from a fresh
 /// Box–Muller source (the unused half of the last pair is discarded when
-/// the sample count is odd). With `None`, only steps `rng` past the
-/// uniforms that source would consume — two per pair, `2·⌈n/2⌉` for `n`
-/// samples — so the stream after the window is the same either way.
+/// the sample count is odd). With `None`, skips: one [`Jump`] advances
+/// `rng` past the uniforms that source would consume — two per pair,
+/// `2·⌈n/2⌉` for `n` samples — so the stream after the window is the
+/// same either way.
 pub(crate) fn draw_readout_noise(
     rng: &mut StdRng,
+    skips: &mut WindowJumps,
     readout: &ReadoutParams,
     duration: f64,
     noise: Option<&mut Vec<f64>>,
@@ -587,11 +599,35 @@ pub(crate) fn draw_readout_noise(
             noise.clear();
             noise.extend((0..samples).map(|_| gauss.next()));
         }
-        None => {
-            for _ in 0..2 * samples.div_ceil(2) {
-                let _: f64 = rng.random();
+        None => rng.jump(skips.past(2 * samples.div_ceil(2) as u64)),
+    }
+}
+
+/// The [`Jump`]s a chip skips readout windows with, one per length in
+/// RNG outputs. Each is built the first time a window of that length is
+/// skipped, so a chain that always draws its noise builds none. Bounded
+/// (oldest evicted) so a stream of distinct window lengths cannot grow
+/// it; clones share the built jumps.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct WindowJumps(Vec<Arc<Jump>>);
+
+/// Distinct skip lengths a chip keeps a jump for.
+const WINDOW_JUMPS_CAP: usize = 8;
+
+impl WindowJumps {
+    /// The jump past `steps` outputs, built on a miss.
+    fn past(&mut self, steps: u64) -> &Jump {
+        let i = match self.0.iter().position(|j| j.steps() == steps) {
+            Some(i) => i,
+            None => {
+                if self.0.len() == WINDOW_JUMPS_CAP {
+                    self.0.remove(0);
+                }
+                self.0.push(Arc::new(Jump::new(steps)));
+                self.0.len() - 1
             }
-        }
+        };
+        &self.0[i]
     }
 }
 

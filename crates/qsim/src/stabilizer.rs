@@ -23,8 +23,8 @@
 //! * **RNG-stream compatibility** — [`ChipBackend::measure_into`]
 //!   consumes the seeded RNG in *exactly* the order the exact chip does
 //!   (one uniform draw for the projection, then one Gaussian per trace
-//!   sample — or, when the caller asks for no noise, the same uniforms
-//!   stepped past), so a shot replayed from a [`quma` `SeedPlan`] seed
+//!   sample — or, when the caller asks for no noise, one jump past the
+//!   same uniforms), so a shot replayed from a [`quma` `SeedPlan`] seed
 //!   produces bit-identical outcome streams and readout noise (hence
 //!   traces) on both backends for circuits where the outcome
 //!   probabilities agree (they do for Clifford circuits: every
@@ -38,7 +38,7 @@
 //!
 //! [Aaronson & Gottesman 2004]: https://arxiv.org/abs/quant-ph/0406196
 
-use crate::chip::{draw_readout_noise, ChipBackend, ChipQubit, QubitId};
+use crate::chip::{draw_readout_noise, ChipBackend, ChipQubit, QubitId, WindowJumps};
 use crate::clifford::CliffordGroup;
 use crate::complex::C64;
 use crate::mat2::Mat2;
@@ -341,6 +341,8 @@ pub struct StabilizerChip {
     /// Accumulated injected-Z frame, bit per qubit.
     frame_z: u64,
     rng: StdRng,
+    /// Jumps past skipped readout windows.
+    skips: WindowJumps,
     measurements: u64,
 }
 
@@ -363,6 +365,7 @@ impl StabilizerChip {
             frame_x: 0,
             frame_z: 0,
             rng: StdRng::seed_from_u64(seed),
+            skips: WindowJumps::default(),
             measurements: 0,
         }
     }
@@ -476,12 +479,18 @@ impl ChipBackend for StabilizerChip {
     ) -> u8 {
         // Mirror QuantumChip's RNG consumption exactly: one uniform draw
         // before the projection, then the window's readout noise (drawn or
-        // stepped past). This is what keeps seeded shots bit-identical
+        // jumped past). This is what keeps seeded shots bit-identical
         // across backends.
         self.measurements += 1;
         let u: f64 = self.rng.random();
         let outcome = self.tableau.measure_with(id, u);
-        draw_readout_noise(&mut self.rng, &self.qubits[id].readout, duration, noise);
+        draw_readout_noise(
+            &mut self.rng,
+            &mut self.skips,
+            &self.qubits[id].readout,
+            duration,
+            noise,
+        );
         outcome
     }
 
