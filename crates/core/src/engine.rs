@@ -528,6 +528,20 @@ impl Session {
         self.next_shot = 0;
     }
 
+    /// Rebases the session onto new seeds: the device (and its warm
+    /// replicas) as [`Device::rebase`], the seed plan derived from them,
+    /// the shot counter at 0. Afterwards the session runs exactly as a
+    /// fresh `Session::new` of its config with these seeds would; the
+    /// device pool serves every job on a warm session this way.
+    pub fn rebase(&mut self, chip_seed: u64, jitter_seed: u64) {
+        self.device.rebase(chip_seed, jitter_seed);
+        for replica in &mut self.replicas {
+            replica.rebase(chip_seed, jitter_seed);
+        }
+        self.plan = SeedPlan::from_config(self.device.config());
+        self.next_shot = 0;
+    }
+
     /// Prepares a program for batched execution. Loading just captures
     /// the instruction sequence — gate resolution against the Q control
     /// store stays a run-time concern (an unknown gate surfaces as
@@ -1207,6 +1221,34 @@ mod tests {
         fresh.set_seed_plan(job_plan);
         let want = fresh.run_shots(&loaded, 4).unwrap();
         for (a, b) in got.shots.iter().zip(want.shots.iter()) {
+            assert_eq!(a.registers, b.registers);
+            assert_eq!(a.md_results, b.md_results);
+        }
+    }
+
+    #[test]
+    fn a_rebased_session_replays_a_fresh_one() {
+        // A used session (counter advanced, replicas warm), rebased to
+        // other seeds, must equal a fresh session built with them: its
+        // plan, its unseeded first run and its shot batches.
+        let mut warm = Session::new(config()).unwrap();
+        let loaded = warm.load_assembly(SEGMENT).unwrap();
+        warm.execute(&shots(&warm, &loaded, 4), 0..4, 2).unwrap();
+        warm.rebase(0xD0_0D, 0xF00D);
+        assert_eq!(warm.shots_run(), 0);
+        let mut fresh = Session::new(DeviceConfig {
+            chip_seed: 0xD0_0D,
+            jitter_seed: 0xF00D,
+            ..config()
+        })
+        .unwrap();
+        assert_eq!(warm.seed_plan(), fresh.seed_plan());
+        assert_eq!(warm.device().config(), fresh.device().config());
+        let (got, want) = (warm.run(&loaded).unwrap(), fresh.run(&loaded).unwrap());
+        assert_eq!(got.md_results, want.md_results);
+        let got = warm.execute(&shots(&warm, &loaded, 4), 0..4, 2).unwrap();
+        let want = fresh.run_shots(&loaded, 4).unwrap();
+        for (a, b) in got.iter().zip(want.shots.iter()) {
             assert_eq!(a.registers, b.registers);
             assert_eq!(a.md_results, b.md_results);
         }

@@ -285,6 +285,16 @@ pub trait Experiment {
         false
     }
 
+    /// True when the experiment may change its device's parameters
+    /// ([`Experiment::prepare`] or [`Experiment::before_point`] injecting
+    /// errors, retuning, uploading libraries). The default is the safe
+    /// answer. An experiment that overrides neither hook may return
+    /// `false`: its runs leave the device as calibrated, so a device pool
+    /// serves it on a reused warm session instead of a fresh clone.
+    fn mutates_device(&self) -> bool {
+        true
+    }
+
     /// Turns the evidence into the result. `reports` holds one report per
     /// point (sweep modes), per shot (`Shots`), or exactly one report
     /// (`Collector`).
@@ -324,16 +334,21 @@ fn run_with_threads<E: Experiment>(
 
 /// Runs an experiment on a caller-provided session instead of building
 /// one — the entry point `quma_pool` workers use to drive experiments on
-/// warm device clones. The session must be *fresh-equivalent*: its
-/// device bit-identical to `Device::new(exp.device_config(cfg))` (a
-/// clone of a pristine device qualifies — construction is deterministic)
-/// with the shot counter at 0. Under that precondition the output is
-/// bit-identical to [`run`] / [`run_parallel`] with the same arguments,
-/// which is what pins pooled execution to direct execution.
+/// warm devices. The session must be *fresh-equivalent*: its device
+/// bit-identical to `Device::new(exp.device_config(cfg))` with the shot
+/// counter at 0 and the seed plan of that config. A clone of a pristine
+/// device with the same calibration qualifies once rebased to the
+/// config's seeds ([`Session::rebase`]; construction is deterministic),
+/// and so does a reused session rebased that way, as long as nothing
+/// that ran on it changed device parameters. Under that precondition
+/// the output is bit-identical to [`run`] / [`run_parallel`] with the
+/// same arguments, which is what pins pooled execution to direct
+/// execution.
 ///
 /// `prepare` (error injection, detuning, library uploads) is applied
-/// here, exactly as in [`run`]; the caller should discard the session
-/// afterwards rather than assume it is still pristine.
+/// here, exactly as in [`run`]; unless [`Experiment::mutates_device`]
+/// is `false`, the caller should discard the session afterwards rather
+/// than assume it is still pristine.
 pub fn run_on_session<E: Experiment>(
     exp: &E,
     cfg: &E::Config,

@@ -54,7 +54,8 @@ pub mod prelude {
     };
     pub use crate::qec::{
         fit_logical_fidelity, majority_bit, run as run_qec, run_grid as run_qec_grid,
-        run_injected as run_qec_injected, QecConfig, QecInjected, QecResult, QecSampled,
+        run_injected as run_qec_injected, QecCompiled, QecConfig, QecInjected, QecResult,
+        QecSampled,
     };
     pub use crate::ramsey::{run as run_ramsey, Ramsey, RamseyConfig, RamseyResult};
     pub use crate::rb::{

@@ -12,11 +12,16 @@
 //! ([`ExecutionMode::Shots`]), while sampled per-shot error patterns are
 //! structurally distinct programs ([`ExecutionMode::ProgramSweep`], each
 //! distinct pattern compiled once and `Arc`-shared across its shots).
+//! [`QecCompiled`] is the fixed-pattern point with its program compiled
+//! by the caller, so a serving layer can compile it once per pattern.
+//! None of them changes its device, so a pool serves them on warm
+//! sessions ([`Experiment::mutates_device`]).
 
 use crate::harness::{self, ExecutionMode, Experiment, ExperimentError, SweepAxes, SweepPoint};
 use crate::stats::{mean, sem};
 use quma_compiler::prelude::{data_reg, InjectedX, RepetitionCode};
 use quma_core::prelude::{ChipProfile, DeviceConfig, RunReport, TraceLevel};
+use quma_isa::program::Program;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
@@ -185,6 +190,16 @@ pub struct QecInjected {
     pub injections: Vec<InjectedX>,
 }
 
+impl QecInjected {
+    /// The program builder for `cfg` with these injections. It holds
+    /// every compile input, so its `Debug` form can key a program cache.
+    pub fn code(&self, cfg: &QecConfig) -> RepetitionCode {
+        let mut code = code_for(cfg);
+        code.injected_x.extend_from_slice(&self.injections);
+        code
+    }
+}
+
 impl Experiment for QecInjected {
     type Config = QecConfig;
     type Output = QecResult;
@@ -198,16 +213,7 @@ impl Experiment for QecInjected {
     }
 
     fn axes(&self, cfg: &QecConfig) -> Result<SweepAxes, ExperimentError> {
-        let mut code = code_for(cfg);
-        code.injected_x.extend_from_slice(&self.injections);
-        Ok(SweepAxes::new(
-            Vec::new(),
-            ExecutionMode::Shots {
-                program: Arc::new(code.compile()),
-                shots: cfg.shots,
-            },
-        )
-        .with_threads(cfg.threads))
+        QecCompiled::new(self.clone(), cfg).axes(cfg)
     }
 
     fn analyze(
@@ -221,6 +227,67 @@ impl Experiment for QecInjected {
             reports,
             self.injections.len() as u64 * cfg.shots,
         ))
+    }
+
+    fn mutates_device(&self) -> bool {
+        false
+    }
+}
+
+/// A [`QecInjected`] point whose program is already compiled: what a
+/// serving layer submits after fetching the program from a cache keyed
+/// on [`QecInjected::code`]. It runs and analyzes exactly as the
+/// `QecInjected` it was compiled from.
+#[derive(Debug, Clone)]
+pub struct QecCompiled {
+    /// The experiment the program was compiled from.
+    pub injected: QecInjected,
+    /// `injected.code(cfg).compile()` for the config the point runs with.
+    pub program: Arc<Program>,
+}
+
+impl QecCompiled {
+    /// Compiles `injected` for `cfg`.
+    pub fn new(injected: QecInjected, cfg: &QecConfig) -> Self {
+        let program = Arc::new(injected.code(cfg).compile());
+        Self { injected, program }
+    }
+}
+
+impl Experiment for QecCompiled {
+    type Config = QecConfig;
+    type Output = QecResult;
+
+    fn name(&self) -> &'static str {
+        self.injected.name()
+    }
+
+    fn device_config(&self, cfg: &QecConfig) -> DeviceConfig {
+        device_config(cfg)
+    }
+
+    fn axes(&self, cfg: &QecConfig) -> Result<SweepAxes, ExperimentError> {
+        Ok(SweepAxes::new(
+            Vec::new(),
+            ExecutionMode::Shots {
+                program: Arc::clone(&self.program),
+                shots: cfg.shots,
+            },
+        )
+        .with_threads(cfg.threads))
+    }
+
+    fn analyze(
+        &self,
+        cfg: &QecConfig,
+        axes: &SweepAxes,
+        reports: &[RunReport],
+    ) -> Result<QecResult, ExperimentError> {
+        self.injected.analyze(cfg, axes, reports)
+    }
+
+    fn mutates_device(&self) -> bool {
+        false
     }
 }
 
@@ -247,8 +314,7 @@ impl Experiment for QecSampled {
         // Most shots at realistic rates sample few distinct injection
         // patterns (usually the empty one), so compile each pattern once
         // and share it across its shots.
-        let mut compiled: HashMap<Vec<(usize, usize)>, Arc<quma_isa::program::Program>> =
-            HashMap::new();
+        let mut compiled: HashMap<Vec<(usize, usize)>, Arc<Program>> = HashMap::new();
         let mut points = Vec::with_capacity(cfg.shots as usize);
         for _ in 0..cfg.shots {
             let mut pattern: Vec<(usize, usize)> = Vec::new();
@@ -289,6 +355,10 @@ impl Experiment for QecSampled {
     ) -> Result<QecResult, ExperimentError> {
         let injected_flips = axes.points.iter().map(|p| p.x as u64).sum();
         Ok(summarize(cfg, reports, injected_flips))
+    }
+
+    fn mutates_device(&self) -> bool {
+        false
     }
 }
 
@@ -385,6 +455,24 @@ mod tests {
         let result = run(&cfg).expect("runs");
         assert_eq!(result.logical_errors, 0);
         assert_eq!(result.majority_bits, vec![1; 4]);
+    }
+
+    #[test]
+    fn a_precompiled_point_runs_exactly_as_its_source_experiment() {
+        let cfg = QecConfig {
+            shots: 6,
+            profile: ChipProfile::Paper,
+            ..QecConfig::default()
+        };
+        let injected = QecInjected {
+            injections: vec![InjectedX { round: 1, data: 2 }],
+        };
+        let compiled = QecCompiled::new(injected.clone(), &cfg);
+        assert!(!compiled.mutates_device() && !injected.mutates_device());
+        let want = harness::run(&injected, &cfg).expect("runs");
+        let got = harness::run(&compiled, &cfg).expect("runs");
+        assert_eq!(format!("{got:?}"), format!("{want:?}"));
+        assert_eq!(got.injected_flips, 6);
     }
 
     #[test]

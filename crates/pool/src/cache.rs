@@ -1,4 +1,5 @@
-//! Content-hash cache of assembled programs and slotted templates.
+//! Content-hash cache of assembled programs, slotted templates and
+//! compiled programs.
 //!
 //! Serving many clients means seeing the same submission many times: a
 //! calibration fleet re-sends the same AllXY source, a sweep service
@@ -9,6 +10,11 @@
 //! never alias two different programs) and hands every identical
 //! submission the same [`Arc`]. The second client pays a hash lookup,
 //! not an assembler pass, and the instruction memory is shared.
+//!
+//! Compiler output is cached the same way on a shelf of its own
+//! ([`ProgramCache::compile`]), keyed on a description of the compile
+//! inputs: the served QEC job compiles its d=7 program once, not once
+//! per job.
 
 use quma_core::prelude::DeviceError;
 use quma_isa::prelude::{Program, ProgramTemplate};
@@ -79,14 +85,18 @@ impl<T> Shelf<T> {
 /// bounding a pathological stream of unique sources.
 const DEFAULT_CAPACITY: usize = 1024;
 
-/// The shared cache: source text → assembled [`Program`], and
-/// (source, slots) → slotted [`ProgramTemplate`], both `Arc`-shared so a
-/// hit costs a pointer clone. Bounded (FIFO eviction per shelf); evicted
-/// entries stay alive for whoever still holds their `Arc`.
+/// The shared cache: source text → assembled [`Program`],
+/// (source, slots) → slotted [`ProgramTemplate`], and compile key →
+/// compiled [`Program`], all `Arc`-shared so a hit costs a pointer clone.
+/// Bounded (FIFO eviction per shelf); evicted entries stay alive for
+/// whoever still holds their `Arc`.
 #[derive(Debug)]
 pub struct ProgramCache {
     programs: Mutex<Shelf<Program>>,
     templates: Mutex<Shelf<ProgramTemplate>>,
+    /// Compiler output, keyed on a description of the compile inputs;
+    /// a shelf of its own, so a key can never alias assembly source.
+    compiled: Mutex<Shelf<Program>>,
     hits: Counter,
     misses: Counter,
 }
@@ -109,6 +119,7 @@ impl ProgramCache {
         Self {
             programs: Mutex::new(Shelf::new(capacity)),
             templates: Mutex::new(Shelf::new(capacity)),
+            compiled: Mutex::new(Shelf::new(capacity)),
             hits: Counter::new(),
             misses: Counter::new(),
         }
@@ -171,20 +182,39 @@ impl ProgramCache {
         Ok(template)
     }
 
+    /// The program `build` compiles, cached under `key`, which must name
+    /// every compile input (the `Debug` form of a program builder does,
+    /// e.g. `quma_experiments::qec::QecInjected::code`). `build` runs only
+    /// on a miss.
+    pub fn compile(&self, key: &str, build: impl FnOnce() -> Program) -> Arc<Program> {
+        let hash = content_hash(key.as_bytes());
+        let mut shelf = self.compiled.lock().expect("cache poisoned");
+        if let Some(program) = shelf.get(hash, key) {
+            self.hits.inc();
+            return program;
+        }
+        let program = Arc::new(build());
+        self.misses.inc();
+        shelf.insert(hash, key.into(), Arc::clone(&program));
+        program
+    }
+
     /// Submissions served from cache so far.
     pub fn hits(&self) -> u64 {
         self.hits.get()
     }
 
-    /// Submissions that had to assemble.
+    /// Lookups that had to assemble or compile.
     pub fn misses(&self) -> u64 {
         self.misses.get()
     }
 
-    /// Distinct cached entries (programs + templates).
+    /// Distinct cached entries (programs + templates + compiled
+    /// programs).
     pub fn len(&self) -> usize {
         self.programs.lock().expect("cache poisoned").len()
             + self.templates.lock().expect("cache poisoned").len()
+            + self.compiled.lock().expect("cache poisoned").len()
     }
 
     /// True when nothing is cached.
@@ -232,6 +262,30 @@ mod tests {
         assert!(!Arc::ptr_eq(&a, &b));
         assert!(Arc::ptr_eq(&a, &a2));
         assert_eq!(cache.hits(), 1);
+    }
+
+    #[test]
+    fn compile_keys_never_alias_assembly_sources() {
+        // A compile key equal to a cached source still builds its own
+        // program, and each shelf then hits on its own entry.
+        let cache = ProgramCache::new();
+        let assembled = cache.assemble(SRC).unwrap();
+        let mut builds = 0;
+        let mut compile = || {
+            cache.compile(SRC, || {
+                builds += 1;
+                quma_isa::asm::Assembler::new()
+                    .assemble("Wait 10\nhalt\n")
+                    .unwrap()
+            })
+        };
+        let (first, again) = (compile(), compile());
+        assert_eq!(builds, 1, "a hit does not rebuild");
+        assert!(Arc::ptr_eq(&first, &again));
+        assert!(!Arc::ptr_eq(&first, &assembled));
+        assert!(Arc::ptr_eq(&cache.assemble(SRC).unwrap(), &assembled));
+        assert_eq!((cache.misses(), cache.hits()), (2, 2));
+        assert_eq!(cache.len(), 2);
     }
 
     #[test]

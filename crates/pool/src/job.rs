@@ -125,8 +125,6 @@ pub enum SubmitError {
     /// The job was rejected before queueing (e.g. its assembly source
     /// failed to assemble).
     InvalidJob(DeviceError),
-    /// The pool has been shut down.
-    ShutDown,
 }
 
 impl std::fmt::Display for SubmitError {
@@ -136,7 +134,6 @@ impl std::fmt::Display for SubmitError {
                 write!(f, "{priority}-priority queue is full (depth {depth})")
             }
             SubmitError::InvalidJob(e) => write!(f, "job rejected at submit: {e}"),
-            SubmitError::ShutDown => write!(f, "pool is shut down"),
         }
     }
 }
@@ -145,7 +142,7 @@ impl std::error::Error for SubmitError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             SubmitError::InvalidJob(e) => Some(e),
-            SubmitError::QueueFull { .. } | SubmitError::ShutDown => None,
+            SubmitError::QueueFull { .. } => None,
         }
     }
 }
@@ -219,6 +216,9 @@ impl From<ExperimentError> for JobError {
 pub(crate) trait ErasedExperiment: Send {
     /// The device the experiment wants ([`Experiment::device_config`]).
     fn device_config(&self) -> DeviceConfig;
+    /// Whether it may change device parameters
+    /// ([`Experiment::mutates_device`]).
+    fn mutates_device(&self) -> bool;
     /// Runs the experiment on the worker's session via
     /// `harness::run_on_session`, boxing the typed output.
     fn run_erased(
@@ -240,6 +240,10 @@ where
 {
     fn device_config(&self) -> DeviceConfig {
         self.exp.device_config(&self.cfg)
+    }
+
+    fn mutates_device(&self) -> bool {
+        self.exp.mutates_device()
     }
 
     fn run_erased(
@@ -382,8 +386,9 @@ impl Job {
     }
 
     /// Runs the job on `device` instead of the pool's base configuration
-    /// (a matching warm device is cloned; otherwise the worker builds and
-    /// keeps one). No effect on experiment jobs.
+    /// (a warm device with the same calibration serves it, rebased to its
+    /// seeds; otherwise the worker builds and keeps one). No effect on
+    /// experiment jobs.
     pub fn with_device_config(mut self, device: DeviceConfig) -> Self {
         self.device = Some(device);
         self

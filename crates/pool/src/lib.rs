@@ -24,11 +24,13 @@
 //! 1. **Deterministic replay.** A pooled job's result is bit-identical
 //!    to running the same work directly on one fresh `Session` —
 //!    independent of worker count, scheduling order, or what ran on the
-//!    worker before. Workload jobs run on a warm session the worker
-//!    reuses, which is safe because every item carries its own seeds
-//!    and starts from the architectural reset; experiment jobs, which
-//!    may mutate their device (error injection, library uploads), each
-//!    run on a fresh session around a clone of a pristine calibrated
+//!    worker before. Warm devices and sessions are keyed by
+//!    calibration, not seed, and rebased to each job's seeds. Workload
+//!    jobs and experiments that never change their device (QEC) run on
+//!    a warm session the worker reuses, which is safe because every run
+//!    starts from the architectural reset; experiment jobs that may
+//!    mutate their device (error injection, library uploads), each run
+//!    on a fresh session around a rebased clone of a pristine calibrated
 //!    original, so nothing they do survives them. A job that panics
 //!    fails with [`JobError::Panicked`] and its worker serves on.
 //!    `tests/differential.rs` pins this for the AllXY and QEC workloads
@@ -40,7 +42,9 @@
 //!    event-queue capacity.
 //! 3. **Shared compilation.** Identical assembly/template submissions
 //!    hit a content-hash [`ProgramCache`] and share one `Arc`'d program;
-//!    only the first client pays the assembler.
+//!    only the first client pays the assembler. Compiler output keyed on
+//!    its compile inputs ([`ProgramCache::compile`]) is shared the same
+//!    way.
 //!
 //! Per-job [`JobMetrics`] (queue wait, run time, cache hit, dispatch
 //! order) ride back on the handle, and [`DevicePool::stats`] snapshots

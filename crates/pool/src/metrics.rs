@@ -95,11 +95,11 @@ impl PoolMetrics {
             ),
             cold_device_builds: c(
                 "quma_pool_cold_device_builds_total",
-                "Jobs that forced a cold Device::new",
+                "Jobs that forced a cold Device::new (a calibration not yet warm)",
             ),
             warm_session_reuses: c(
                 "quma_pool_warm_session_reuses_total",
-                "Pure jobs served on an already-warm session",
+                "Workload and non-mutating experiment jobs served on an already-warm session",
             ),
             executed_shots: c(
                 "quma_pool_executed_shots_total",
@@ -147,15 +147,15 @@ pub struct PoolStats {
     pub high_completed: u64,
     /// Cache lookups served without assembling.
     pub cache_hits: u64,
-    /// Cache lookups that had to assemble.
+    /// Cache lookups that had to assemble or compile.
     pub cache_misses: u64,
     /// Jobs served by cloning a warm device.
     pub warm_device_clones: u64,
-    /// Jobs that forced a cold `Device::new` (config not yet warm on
-    /// that worker).
+    /// Jobs that forced a cold `Device::new` (calibration not yet warm
+    /// on that worker; a seed-only difference never forces one).
     pub cold_device_builds: u64,
-    /// Pure jobs (shots/sweeps) served on an already-warm
-    /// session — no device clone at all.
+    /// Workload jobs and non-mutating experiments served on an
+    /// already-warm session — no device clone at all.
     pub warm_session_reuses: u64,
     /// Shots (and sweep points — each point is one shot) actually
     /// executed by workers. After a journal recovery this is *less*

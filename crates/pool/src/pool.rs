@@ -123,16 +123,18 @@ pub(crate) struct PoolShared {
 ///   ([`Priority::High`] drains before [`Priority::Normal`]); a full
 ///   class rejects with typed backpressure ([`SubmitError::QueueFull`])
 ///   instead of blocking.
-/// * **Warmth** — each worker clones devices from pristine calibrated
-///   originals instead of re-synthesizing pulse libraries, and serves
-///   workload jobs on warm sessions it keeps across jobs.
+/// * **Warmth** — each worker keeps pristine calibrated devices and warm
+///   sessions keyed by calibration, rebased to each job's seeds, instead
+///   of re-synthesizing pulse libraries; workload jobs and non-mutating
+///   experiments run on the warm sessions it keeps across jobs.
 /// * **Caching** — identical assembly/template submissions share one
 ///   `Arc`'d program via the content-hash [`ProgramCache`].
 /// * **Determinism** — every job result is bit-identical to a direct
 ///   single-`Session` run of the same work, independent of worker
-///   count, scheduling order, and interleaving: workload items carry
-///   their own seeds and start from the architectural reset, and each
-///   experiment runs on a fresh session around a pristine clone.
+///   count, scheduling order, and interleaving: a rebased warm device
+///   is bit-identical to a fresh build, every run starts from the
+///   architectural reset, and each mutating experiment runs on a fresh
+///   session around a pristine clone.
 /// * **Containment** — a job that panics fails with
 ///   [`JobError::Panicked`](crate::JobError::Panicked); its worker
 ///   discards its warm sessions and serves on.
@@ -193,7 +195,7 @@ impl DevicePool {
             );
             registry.register_counter(
                 "quma_pool_cache_misses_total",
-                "Cache lookups that had to assemble",
+                "Cache lookups that had to assemble or compile",
                 &[],
                 misses,
             );

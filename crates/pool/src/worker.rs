@@ -4,31 +4,40 @@
 //! Each worker owns a small set of *pristine* calibrated devices (the
 //! pool's base configuration is always warm; other configurations are
 //! admitted on first use) plus long-lived warm [`Session`]s built from
-//! them. Jobs split by what they may touch:
+//! them. Both are keyed by calibration, not by seed
+//! ([`DeviceConfig::same_calibration`]): a job whose config differs from
+//! a warm one only in `chip_seed`/`jitter_seed` is served by that warm
+//! device, rebased to the job's seeds. Jobs split by what they may
+//! touch:
 //!
-//! * **Workload** jobs (shot batches, sweeps, template sweeps) never
-//!   mutate device parameters — every item reseeds and every run starts
-//!   with the architectural reset — so they run on a *reused* warm
-//!   session. That skips even the per-job device clone, which is what
-//!   lets `multi_client` throughput stop paying per-job setup.
-//! * **Experiment** jobs may mutate their device (error injection in
-//!   `Experiment::prepare`, library uploads, noise retuning), so each
-//!   gets a fresh session around a clone of a pristine device; whatever
-//!   it does is discarded with the session and can never leak into the
-//!   next job.
+//! * **Workload** jobs (shot batches, sweeps, template sweeps) and
+//!   experiments that leave their device as calibrated
+//!   ([`Experiment::mutates_device`] is `false`, e.g. the QEC
+//!   experiments) run on a *reused* warm session, rebased to the job's
+//!   seeds, with its shot counter at 0. That skips the per-job device
+//!   clone and keeps warm caches — the MDU calibrations and readout-skip
+//!   jumps — across jobs.
+//! * **Mutating** experiment jobs (error injection in
+//!   `Experiment::prepare`, library uploads such as AllXY's, noise
+//!   retuning) each get a fresh session around a clone of a pristine
+//!   device, rebased to the job's seeds; whatever they do is discarded
+//!   with the session and can never leak into the next job.
 //!
-//! Determinism: `Device::new` is a pure function of its config, so a
-//! clone of a pristine device is bit-identical to a fresh build, and a
-//! reused session runs a [`Workload`] exactly like a fresh one because
-//! every item carries its own seeds and reseeds before running.
-//! Together that makes every pooled result bit-identical to a direct
-//! single-session run — regardless of which worker picks the job up, in
-//! what order, or how many workers exist.
+//! Determinism: `Device::new` is a pure function of its config and seeds
+//! enter nothing but the RNGs, so a rebased clone of a pristine device is
+//! bit-identical to a fresh build (`Device::rebase`), and a reused
+//! session, rebased, runs exactly like a fresh one because every run
+//! starts with the architectural reset. Together that makes every pooled
+//! result bit-identical to a direct single-session run — regardless of
+//! which worker picks the job up, in what order, or how many workers
+//! exist.
 //!
 //! Containment: a job that panics fails with [`JobError::Panicked`]
 //! (journaled as a failure, so recovery never re-runs it), and its
 //! worker drops its warm sessions — one may have been left mid-run — so
 //! the next job starts from a pristine clone.
+//!
+//! [`Experiment::mutates_device`]: quma_experiments::prelude::Experiment::mutates_device
 
 use crate::job::{JobError, JobEvent, JobId, JobKind, JobOutput, Priority, QueuedJob, ShotChunk};
 use crate::metrics::JobMetrics;
@@ -45,39 +54,45 @@ use std::sync::{mpsc, Arc};
 use std::time::Instant;
 
 /// Pristine devices a worker can clone per job, plus long-lived warm
-/// sessions for the job kinds that never mutate device parameters.
-/// Bounded; the pool's base configuration (device slot 0) is never
-/// evicted.
+/// sessions for the jobs that never mutate device parameters. Both are
+/// keyed by calibration ([`DeviceConfig::same_calibration`]). Bounded;
+/// the pool's base configuration (device slot 0) is never evicted.
 pub(crate) struct WarmSet {
-    devices: Vec<(DeviceConfig, Device)>,
-    /// Reused across workload jobs. Experiment jobs never touch these.
-    sessions: Vec<(DeviceConfig, Session)>,
+    devices: Vec<Device>,
+    /// Reused across non-mutating jobs. Mutating experiments never
+    /// touch these.
+    sessions: Vec<Session>,
 }
 
-/// How many distinct configurations a worker keeps warm (base + 3).
+/// How many distinct calibrations a worker keeps warm (base + 3).
 const WARM_CAP: usize = 4;
 
 impl WarmSet {
     pub(crate) fn new(base: Device) -> Self {
         Self {
-            devices: vec![(base.config().clone(), base)],
+            devices: vec![base],
             sessions: Vec::new(),
         }
     }
 
-    /// A fresh session for `config`: a warm clone when the configuration
-    /// is known, a cold build (then kept warm) otherwise. Experiment
-    /// jobs use this path — they may mutate the device, so they must not
-    /// share one.
+    /// A fresh session for `config`: a warm clone rebased to its seeds
+    /// when the calibration is known, a cold build (then kept warm)
+    /// otherwise. Mutating experiments use this path — they must not
+    /// share a device.
     fn fresh_session(
         &mut self,
         config: &DeviceConfig,
         shared: &PoolShared,
     ) -> Result<Session, JobError> {
-        if let Some((_, device)) = self.devices.iter().find(|(c, _)| c == config) {
-            let session = Session::from_device(device.clone());
+        if let Some(device) = self
+            .devices
+            .iter()
+            .find(|d| d.config().same_calibration(config))
+        {
+            let mut device = device.clone();
+            device.rebase(config.chip_seed, config.jitter_seed);
             shared.metrics.warm_device_clones.inc();
-            return Ok(session);
+            return Ok(Session::from_device(device));
         }
         let device = Device::new(config.clone()).map_err(JobError::Device)?;
         shared.metrics.cold_device_builds.inc();
@@ -86,34 +101,40 @@ impl WarmSet {
             // Evict the oldest non-base entry.
             self.devices.remove(1);
         }
-        self.devices.push((config.clone(), device));
+        self.devices.push(device);
         Ok(session)
     }
 
-    /// A warm session for `config`. Only for workload jobs, which never
-    /// mutate device parameters: every item reseeds and every run starts
-    /// with the architectural reset, so the reused device is
-    /// bit-indistinguishable from a fresh clone.
+    /// A warm session for `config`, rebased to its seeds with the shot
+    /// counter at 0. Only for jobs that never mutate device parameters:
+    /// every run starts with the architectural reset, so the reused
+    /// device is bit-indistinguishable from a fresh rebased clone.
     fn warm_session(
         &mut self,
         config: &DeviceConfig,
         shared: &PoolShared,
     ) -> Result<&mut Session, JobError> {
-        if let Some(pos) = self.sessions.iter().position(|(c, _)| c == config) {
-            shared.metrics.warm_session_reuses.inc();
-            return Ok(&mut self.sessions[pos].1);
-        }
-        let session = self.fresh_session(config, shared)?;
-        if self.sessions.len() >= WARM_CAP {
-            // Evict the oldest session not serving the base config.
-            if let Some(pos) = self.sessions.iter().position(|(c, _)| *c != shared.base) {
-                self.sessions.remove(pos);
-            } else {
-                self.sessions.remove(0);
+        let calibrated = |s: &Session| s.device().config().same_calibration(config);
+        let pos = match self.sessions.iter().position(calibrated) {
+            Some(pos) => {
+                shared.metrics.warm_session_reuses.inc();
+                pos
             }
-        }
-        self.sessions.push((config.clone(), session));
-        Ok(&mut self.sessions.last_mut().expect("just pushed").1)
+            None => {
+                let session = self.fresh_session(config, shared)?;
+                if self.sessions.len() >= WARM_CAP {
+                    // Evict the oldest session not serving the base config.
+                    let base = |s: &Session| s.device().config().same_calibration(&shared.base);
+                    let pos = self.sessions.iter().position(|s| !base(s)).unwrap_or(0);
+                    self.sessions.remove(pos);
+                }
+                self.sessions.push(session);
+                self.sessions.len() - 1
+            }
+        };
+        let session = &mut self.sessions[pos];
+        session.rebase(config.chip_seed, config.jitter_seed);
+        Ok(session)
     }
 }
 
@@ -308,9 +329,16 @@ fn execute(
     let work = match job.kind {
         JobKind::Workload(work) => work,
         JobKind::Experiment(erased) => {
-            let mut session = warm.fresh_session(&erased.device_config(), shared)?;
+            let config = erased.device_config();
+            let mut fresh;
+            let session = if erased.mutates_device() {
+                fresh = warm.fresh_session(&config, shared)?;
+                &mut fresh
+            } else {
+                warm.warm_session(&config, shared)?
+            };
             session.set_tracer(session_tracer(shared, id, worker));
-            let output = erased.run_erased(&mut session)?;
+            let output = erased.run_erased(session)?;
             return Ok(JobOutput::Experiment(output));
         }
     };

@@ -246,8 +246,10 @@ fn chunked_stream_reassembles_to_the_unchunked_batch() {
 
 #[test]
 fn device_config_override_runs_cold_and_still_matches_direct() {
+    // An override with another calibration (here the qubit count) builds
+    // cold once.
     let other = DeviceConfig {
-        chip_seed: 0xBEEF,
+        num_qubits: 2,
         ..base_config()
     };
     let pool = pool_with(1);
@@ -279,6 +281,107 @@ fn device_config_override_runs_cold_and_still_matches_direct() {
     assert_eq!(stats.cold_device_builds, 1, "the override built cold once");
     assert_eq!(stats.warm_session_reuses, 1, "same-config job reran warm");
     assert_eq!(stats.warm_device_clones, 1, "base-config job cloned warm");
+}
+
+#[test]
+fn seed_only_override_runs_warm_and_still_matches_direct() {
+    // Seeds are not calibration: an override that only reseeds is served
+    // by the warm base device, rebased, and a base-config job after it
+    // gets the base seeds back.
+    let other = DeviceConfig {
+        chip_seed: 0xBEEF,
+        jitter_seed: 0xFEED,
+        ..base_config()
+    };
+    let pool = pool_with(1);
+    let direct = |config: DeviceConfig, shots| {
+        let mut session = Session::new(config).expect("session");
+        let loaded = session.load_assembly(SEGMENT).expect("assembles");
+        session
+            .run_shots(&loaded, shots)
+            .expect("direct batch")
+            .shots
+    };
+    let pooled = |job: Job| {
+        pool.submit(job)
+            .expect("submits")
+            .wait()
+            .expect("runs")
+            .into_batch()
+            .expect("shots output")
+            .shots
+    };
+    let program = pool.assemble(SEGMENT).expect("assembles");
+    let got = pooled(Job::shots(Arc::clone(&program), 5).with_device_config(other.clone()));
+    let want = direct(other, 5);
+    assert_reports_eq(&got, &want, "seed-only override");
+    let base = pooled(Job::shots(program, 5));
+    assert_reports_eq(&base, &direct(base_config(), 5), "base after override");
+    assert!(
+        got.iter()
+            .zip(&base)
+            .any(|(a, b)| a.md_results != b.md_results),
+        "the two seeds must give different readout"
+    );
+    let stats = pool.shutdown();
+    assert_eq!(stats.cold_device_builds, 0, "no seed-only cold build");
+    assert_eq!(stats.warm_device_clones, 1, "the first job cloned the base");
+    assert_eq!(
+        stats.warm_session_reuses, 1,
+        "the second reused its session"
+    );
+}
+
+#[test]
+fn served_qec_jobs_build_once_compile_once_and_match_direct_runs() {
+    // The served QEC path: each job fetches its program from the pool's
+    // cache by compile key and runs on the worker's warm session. Six
+    // jobs that differ only in their seeds cost one cold build and one
+    // compile, and each is bit-identical to a direct run on a fresh
+    // device. On the noisy profile, an unprotected logical |1⟩ decays
+    // differently per seed, so the results show the seeds.
+    for profile in [ChipProfile::Paper, ChipProfile::Stabilizer] {
+        let pool = pool_with(1);
+        let results: Vec<String> = (0..6u64)
+            .map(|i| {
+                let cfg = QecConfig {
+                    distance: 3,
+                    rounds: 4,
+                    shots: 8,
+                    logical_one: true,
+                    feedback: false,
+                    profile,
+                    chip_seed: 0x0EC0 + i,
+                    ..QecConfig::default()
+                };
+                let injected = QecInjected::default();
+                let code = injected.code(&cfg);
+                let program = pool
+                    .cache()
+                    .compile(&format!("{code:?}"), || code.compile());
+                let got = pool
+                    .submit_experiment(QecCompiled { injected, program }, cfg.clone())
+                    .expect("submits")
+                    .wait()
+                    .expect("pooled QEC runs");
+                let want = run_experiment(&QecInjected::default(), &cfg).expect("direct QEC");
+                let (got, want) = (format!("{got:?}"), format!("{want:?}"));
+                assert_eq!(got, want, "{profile:?} job {i}");
+                got
+            })
+            .collect();
+        if profile == ChipProfile::Paper {
+            assert!(
+                results.iter().any(|r| *r != results[0]),
+                "seeds must matter"
+            );
+        }
+        let stats = pool.shutdown();
+        assert_eq!(stats.cold_device_builds, 1, "{profile:?}: one cold build");
+        assert_eq!(stats.warm_session_reuses, 5, "{profile:?}: then warm");
+        assert_eq!(stats.cache_misses, 1, "{profile:?}: one compile");
+        assert_eq!(stats.cache_hits, 5, "{profile:?}: then cached");
+    }
 }
 
 #[test]

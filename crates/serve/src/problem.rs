@@ -264,7 +264,6 @@ impl From<ServiceError> for ProblemJson {
                 )
                 .with_context("depth", Json::uint(depth as u64))
             }
-            ServiceError::Rejected(SubmitError::ShutDown) => ProblemJson::shutting_down(),
             ServiceError::Rejected(SubmitError::InvalidJob(e)) => {
                 ProblemJson::validation(format!("job rejected at submit: {e}"))
             }

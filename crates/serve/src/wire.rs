@@ -15,7 +15,7 @@ use crate::json::Json;
 use quma_core::prelude::ChipProfile;
 use quma_core::prelude::{BatchReport, RunReport, ShotSeeds};
 use quma_experiments::prelude::{
-    Allxy, AllxyConfig, AllxyResult, QecConfig, QecInjected, QecResult,
+    Allxy, AllxyConfig, AllxyResult, QecCompiled, QecConfig, QecInjected, QecResult,
 };
 use quma_isa::template::PatchField;
 use quma_journal::{JobSpec, SweepPointSpec, TemplatePointSpec};
@@ -151,7 +151,7 @@ pub(crate) fn parse_submission(doc: &Json, pool: &DevicePool) -> Result<Submissi
         "shots" => workload(parse_shots(doc)?, pool)?,
         "sweep" => workload(parse_sweep(doc)?, pool)?,
         "template_sweep" => workload(parse_template_sweep(doc)?, pool)?,
-        "experiment" => parse_experiment(doc)?,
+        "experiment" => parse_experiment(doc, pool)?,
         other => {
             return Err(field_error(
                 format!(
@@ -305,7 +305,7 @@ fn parse_template_sweep(doc: &Json) -> Result<JobSpec, FieldError> {
     })
 }
 
-fn parse_experiment(doc: &Json) -> Result<Submission, FieldError> {
+fn parse_experiment(doc: &Json, pool: &DevicePool) -> Result<Submission, FieldError> {
     let name = want_str(doc, "experiment")?;
     // Experiment configs are typed per experiment, so the journal gets
     // the whole submission document as an opaque payload; recovery hands
@@ -365,8 +365,16 @@ fn parse_experiment(doc: &Json) -> Result<Submission, FieldError> {
                 init_cycles: want_u64(&cfg, "init_cycles", Some(u64::from(defaults.init_cycles)))?
                     as u32,
             };
+            // The compiled program depends only on the compile inputs, so
+            // identical points share one cached compile.
+            let injected = QecInjected::default();
+            let code = injected.code(&config);
+            let program = pool
+                .cache()
+                .compile(&format!("{code:?}"), || code.compile());
+            let exp = QecCompiled { injected, program };
             Ok(Submission {
-                job: with_spec(Job::experiment(QecInjected::default(), config), "qec"),
+                job: with_spec(Job::experiment(exp, config), "qec"),
                 kind: "experiment",
                 experiment: Some("qec"),
             })
