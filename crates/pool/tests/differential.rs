@@ -413,6 +413,32 @@ fn worker_state_never_leaks_between_jobs() {
     );
 }
 
+#[test]
+fn mutating_experiments_run_on_clones_rebased_to_their_seeds() {
+    // AllXY uploads a pulse library, so each job gets a fresh clone of
+    // the worker's pristine device; a job with other seeds gets that
+    // clone rebased, and still equals its direct run.
+    let pool = pool_with(1);
+    for seed in [0xA11, 0xB22] {
+        let cfg = AllxyConfig {
+            averages: 4,
+            seed,
+            ..AllxyConfig::default()
+        };
+        let got = pool
+            .submit_experiment(Allxy, cfg.clone())
+            .expect("submits")
+            .wait()
+            .expect("pooled AllXY runs");
+        let want = run_allxy(&cfg).expect("direct AllXY");
+        assert_eq!(got.raw, want.raw, "seed {seed:#x}");
+    }
+    let stats = pool.shutdown();
+    assert_eq!(stats.cold_device_builds, 1, "the AllXY device built once");
+    assert_eq!(stats.warm_device_clones, 1, "the second seed cloned it");
+    assert_eq!(stats.warm_session_reuses, 0, "AllXY never shares a session");
+}
+
 /// An experiment that parks its worker inside `prepare` until the test
 /// releases it — the synchronization the priority test needs to make
 /// "jobs queued behind a busy worker" a guarantee instead of a timing

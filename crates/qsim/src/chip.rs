@@ -663,6 +663,30 @@ mod tests {
     use crate::resonator::Discriminator;
     use std::f64::consts::PI;
 
+    #[test]
+    fn each_skipped_window_length_jumps_exactly_its_own_uniforms() {
+        // One chip's jumps across more distinct window lengths than it
+        // keeps (evictions and rebuilds included), odd and even, against
+        // stepping the uniforms one by one.
+        let readout = ReadoutParams::noiseless();
+        let lengths = [
+            1500usize, 385, 1500, 2, 385, 0, 1, 7, 64, 65, 300, 301, 1500, 386, 2,
+        ];
+        let mut skips = WindowJumps::default();
+        let mut jumped = StdRng::seed_from_u64(0x5EED);
+        let mut stepped = jumped.clone();
+        for samples in lengths {
+            let duration = samples as f64 / readout.sample_rate;
+            assert_eq!(readout.samples_in(duration), samples);
+            draw_readout_noise(&mut jumped, &mut skips, &readout, duration, None);
+            for _ in 0..2 * samples.div_ceil(2) {
+                let _: f64 = stepped.random();
+            }
+            assert_eq!(jumped, stepped, "after a {samples}-sample window");
+        }
+        assert_eq!(skips.0.len(), WINDOW_JUMPS_CAP);
+    }
+
     fn ssb_pulse(amp: f64, ssb: f64, start: f64, n: usize, dt: f64) -> Vec<C64> {
         (0..n)
             .map(|k| {
