@@ -20,6 +20,7 @@ use quma_core::prelude::DeviceError;
 use quma_isa::prelude::{Program, ProgramTemplate};
 use quma_obs::Counter;
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::sync::{Arc, Mutex};
 
 // The content hash and the slot-spec key fragment now live in
@@ -131,19 +132,33 @@ impl ProgramCache {
         (&self.hits, &self.misses)
     }
 
+    /// The entry for `key` on `shelf`, built by `build` (and counted as
+    /// a miss) when absent. The bool is true on a hit; a failed build
+    /// caches nothing.
+    fn through<T, E>(
+        &self,
+        shelf: &Mutex<Shelf<T>>,
+        key: &str,
+        build: impl FnOnce() -> Result<T, E>,
+    ) -> Result<(Arc<T>, bool), E> {
+        let hash = content_hash(key.as_bytes());
+        let mut shelf = shelf.lock().expect("cache poisoned");
+        if let Some(value) = shelf.get(hash, key) {
+            self.hits.inc();
+            return Ok((value, true));
+        }
+        let value = Arc::new(build()?);
+        self.misses.inc();
+        shelf.insert(hash, key.into(), Arc::clone(&value));
+        Ok((value, false))
+    }
+
     /// Assembles `source`, or returns the cached program if the same
     /// source was assembled before. The bool is true on a hit.
     pub(crate) fn assemble_keyed(&self, source: &str) -> Result<(Arc<Program>, bool), DeviceError> {
-        let key = content_hash(source.as_bytes());
-        let mut shelf = self.programs.lock().expect("cache poisoned");
-        if let Some(program) = shelf.get(key, source) {
-            self.hits.inc();
-            return Ok((program, true));
-        }
-        let program = Arc::new(quma_isa::asm::Assembler::new().assemble(source)?);
-        self.misses.inc();
-        shelf.insert(key, source.into(), Arc::clone(&program));
-        Ok((program, false))
+        self.through(&self.programs, source, || {
+            Ok(quma_isa::asm::Assembler::new().assemble(source)?)
+        })
     }
 
     /// Assembles `source` through the cache.
@@ -166,20 +181,15 @@ impl ProgramCache {
             keyed.push('\0');
             let _ = write!(keyed, "{slot}");
         }
-        let key = content_hash(keyed.as_bytes());
-        let mut shelf = self.templates.lock().expect("cache poisoned");
-        if let Some(template) = shelf.get(key, &keyed) {
-            self.hits.inc();
-            return Ok(template);
-        }
-        let mut program = quma_isa::asm::Assembler::new().assemble(source)?;
-        for slot in slots {
-            program.add_slot(slot.name.clone(), slot.insn_index, slot.field)?;
-        }
-        let template = Arc::new(ProgramTemplate::new(program));
-        self.misses.inc();
-        shelf.insert(key, keyed.into(), Arc::clone(&template));
-        Ok(template)
+        let build = || {
+            let mut program = quma_isa::asm::Assembler::new().assemble(source)?;
+            for slot in slots {
+                program.add_slot(slot.name.clone(), slot.insn_index, slot.field)?;
+            }
+            Ok(ProgramTemplate::new(program))
+        };
+        self.through(&self.templates, &keyed, build)
+            .map(|(template, _)| template)
     }
 
     /// The program `build` compiles, cached under `key`, which must name
@@ -187,16 +197,8 @@ impl ProgramCache {
     /// e.g. `quma_experiments::qec::QecInjected::code`). `build` runs only
     /// on a miss.
     pub fn compile(&self, key: &str, build: impl FnOnce() -> Program) -> Arc<Program> {
-        let hash = content_hash(key.as_bytes());
-        let mut shelf = self.compiled.lock().expect("cache poisoned");
-        if let Some(program) = shelf.get(hash, key) {
-            self.hits.inc();
-            return program;
-        }
-        let program = Arc::new(build());
-        self.misses.inc();
-        shelf.insert(hash, key.into(), Arc::clone(&program));
-        program
+        let built = self.through(&self.compiled, key, || Ok::<_, Infallible>(build()));
+        built.map_or_else(|never| match never {}, |(program, _)| program)
     }
 
     /// Submissions served from cache so far.
