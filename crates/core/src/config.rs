@@ -112,43 +112,14 @@ impl DeviceConfig {
     /// serves the other after [`crate::device::Device::rebase`]; the
     /// device pool keys its warm devices and sessions on this.
     pub fn same_calibration(&self, other: &Self) -> bool {
-        // Destructured, so a new field is compared unless listed here.
-        let Self {
-            jitter_seed: _,
-            chip_seed: _,
-            num_qubits,
-            cycle_time,
-            sample_rate,
-            ctpg_delay_cycles,
-            uop_delay_cycles,
-            msmt_trigger_delay_cycles,
-            mdu_latency_cycles,
-            queue_capacity,
-            decode_fifo_capacity,
-            max_jitter_cycles,
-            chip,
-            collector_k,
-            mem_words,
-            max_host_cycles,
-            trace,
-            start_alignment_cycles,
-        } = self;
-        *num_qubits == other.num_qubits
-            && *cycle_time == other.cycle_time
-            && *sample_rate == other.sample_rate
-            && *ctpg_delay_cycles == other.ctpg_delay_cycles
-            && *uop_delay_cycles == other.uop_delay_cycles
-            && *msmt_trigger_delay_cycles == other.msmt_trigger_delay_cycles
-            && *mdu_latency_cycles == other.mdu_latency_cycles
-            && *queue_capacity == other.queue_capacity
-            && *decode_fifo_capacity == other.decode_fifo_capacity
-            && *max_jitter_cycles == other.max_jitter_cycles
-            && *chip == other.chip
-            && *collector_k == other.collector_k
-            && *mem_words == other.mem_words
-            && *max_host_cycles == other.max_host_cycles
-            && *trace == other.trace
-            && *start_alignment_cycles == other.start_alignment_cycles
+        // The derived equality compares every field, a new one included,
+        // once the seeds are taken from `self`.
+        *self
+            == Self {
+                chip_seed: self.chip_seed,
+                jitter_seed: self.jitter_seed,
+                ..other.clone()
+            }
     }
 
     /// Converts cycles to seconds under this configuration.

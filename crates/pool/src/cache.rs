@@ -134,7 +134,10 @@ impl ProgramCache {
 
     /// The entry for `key` on `shelf`, built by `build` (and counted as
     /// a miss) when absent. The bool is true on a hit; a failed build
-    /// caches nothing.
+    /// caches nothing. `build` runs with the shelf unlocked, so a slow
+    /// build holds up no other lookup and a panicking one poisons
+    /// nothing; when two misses race on one key, both get the entry
+    /// inserted first.
     fn through<T, E>(
         &self,
         shelf: &Mutex<Shelf<T>>,
@@ -142,15 +145,19 @@ impl ProgramCache {
         build: impl FnOnce() -> Result<T, E>,
     ) -> Result<(Arc<T>, bool), E> {
         let hash = content_hash(key.as_bytes());
-        let mut shelf = shelf.lock().expect("cache poisoned");
-        if let Some(value) = shelf.get(hash, key) {
+        let cached = shelf.lock().expect("cache poisoned").get(hash, key);
+        if let Some(value) = cached {
             self.hits.inc();
             return Ok((value, true));
         }
-        let value = Arc::new(build()?);
+        let built = Arc::new(build()?);
         self.misses.inc();
-        shelf.insert(hash, key.into(), Arc::clone(&value));
-        Ok((value, false))
+        let mut shelf = shelf.lock().expect("cache poisoned");
+        if let Some(value) = shelf.get(hash, key) {
+            return Ok((value, false));
+        }
+        shelf.insert(hash, key.into(), Arc::clone(&built));
+        Ok((built, false))
     }
 
     /// Assembles `source`, or returns the cached program if the same
@@ -288,6 +295,30 @@ mod tests {
         assert!(Arc::ptr_eq(&cache.assemble(SRC).unwrap(), &assembled));
         assert_eq!((cache.misses(), cache.hits()), (2, 2));
         assert_eq!(cache.len(), 2);
+    }
+
+    #[test]
+    fn a_panicking_compile_leaves_the_cache_serving() {
+        // The build runs outside the shelf lock, so its panic poisons
+        // nothing: the same key compiles on the next call, and other
+        // shelves never noticed.
+        let cache = ProgramCache::new();
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cache.compile("key", || panic!("bad compile inputs"))
+        }));
+        assert!(panicked.is_err());
+        assert!(cache.is_empty());
+        let program = cache.compile("key", || {
+            quma_isa::asm::Assembler::new()
+                .assemble("Wait 10\nhalt\n")
+                .unwrap()
+        });
+        assert!(Arc::ptr_eq(
+            &program,
+            &cache.compile("key", || unreachable!())
+        ));
+        assert!(cache.assemble(SRC).is_ok());
+        assert_eq!((cache.misses(), cache.hits()), (2, 1));
     }
 
     #[test]

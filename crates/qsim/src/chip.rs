@@ -32,7 +32,7 @@ use crate::transmon::{rotation_from_pulse, Transmon, TransmonParams};
 use crate::twoqubit::Mat4;
 use rand::rngs::{Jump, StdRng};
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Index of a qubit on the chip.
 pub type QubitId = usize;
@@ -66,8 +66,6 @@ pub struct QuantumChip {
     /// Per-qubit membership in `joints`.
     membership: Vec<Option<usize>>,
     rng: StdRng,
-    /// Jumps past skipped readout windows (see [`draw_readout_noise`]).
-    skips: WindowJumps,
     measurements: u64,
     /// Reusable kernel buffers threaded through every register
     /// merge/split, so the hot QEC loop (couple on CZ, factor-out on
@@ -83,7 +81,6 @@ impl QuantumChip {
             joints: Vec::new(),
             membership: Vec::new(),
             rng: StdRng::seed_from_u64(seed),
-            skips: WindowJumps::default(),
             measurements: 0,
             scratch: Scratch::new(),
         }
@@ -560,13 +557,7 @@ impl ChipBackend for QuantumChip {
         noise: Option<&mut Vec<f64>>,
     ) -> u8 {
         let outcome = self.project(id, start, duration);
-        draw_readout_noise(
-            &mut self.rng,
-            &mut self.skips,
-            &self.qubits[id].readout,
-            duration,
-            noise,
-        );
+        draw_readout_noise(&mut self.rng, &self.qubits[id].readout, duration, noise);
         outcome
     }
 
@@ -587,7 +578,6 @@ impl ChipBackend for QuantumChip {
 /// same either way.
 pub(crate) fn draw_readout_noise(
     rng: &mut StdRng,
-    skips: &mut WindowJumps,
     readout: &ReadoutParams,
     duration: f64,
     noise: Option<&mut Vec<f64>>,
@@ -599,36 +589,32 @@ pub(crate) fn draw_readout_noise(
             noise.clear();
             noise.extend((0..samples).map(|_| gauss.next()));
         }
-        None => rng.jump(skips.past(2 * samples.div_ceil(2) as u64)),
+        None => rng.jump(&window_jump(2 * samples.div_ceil(2) as u64)),
     }
 }
 
-/// The [`Jump`]s a chip skips readout windows with, one per length in
-/// RNG outputs. Each is built the first time a window of that length is
-/// skipped, so a chain that always draws its noise builds none. Bounded
-/// (oldest evicted) so a stream of distinct window lengths cannot grow
-/// it; clones share the built jumps.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct WindowJumps(Vec<Arc<Jump>>);
-
-/// Distinct skip lengths a chip keeps a jump for.
+/// Distinct skip lengths [`window_jump`] keeps a jump for.
 const WINDOW_JUMPS_CAP: usize = 8;
 
-impl WindowJumps {
-    /// The jump past `steps` outputs, built on a miss.
-    fn past(&mut self, steps: u64) -> &Jump {
-        let i = match self.0.iter().position(|j| j.steps() == steps) {
-            Some(i) => i,
-            None => {
-                if self.0.len() == WINDOW_JUMPS_CAP {
-                    self.0.remove(0);
-                }
-                self.0.push(Arc::new(Jump::new(steps)));
-                self.0.len() - 1
-            }
-        };
-        &self.0[i]
+/// The [`Jump`] past `steps` RNG outputs. A jump depends on nothing but
+/// its length, so every chip shares one small table of them: each is
+/// built the first time any chip skips a window of that length, so a
+/// chain that always draws its noise builds none, and a fresh device
+/// reuses what earlier ones built. Bounded (oldest evicted) so a stream
+/// of distinct window lengths cannot grow it.
+fn window_jump(steps: u64) -> Arc<Jump> {
+    static JUMPS: Mutex<Vec<Arc<Jump>>> = Mutex::new(Vec::new());
+    // The table is consistent after any panic (a push is its last step).
+    let mut jumps = JUMPS.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(jump) = jumps.iter().find(|j| j.steps() == steps) {
+        return Arc::clone(jump);
     }
+    if jumps.len() == WINDOW_JUMPS_CAP {
+        jumps.remove(0);
+    }
+    let jump = Arc::new(Jump::new(steps));
+    jumps.push(Arc::clone(&jump));
+    jump
 }
 
 /// Box–Muller standard-normal source over a borrowed RNG. Shared with
@@ -665,26 +651,24 @@ mod tests {
 
     #[test]
     fn each_skipped_window_length_jumps_exactly_its_own_uniforms() {
-        // One chip's jumps across more distinct window lengths than it
-        // keeps (evictions and rebuilds included), odd and even, against
+        // More distinct window lengths than the shared table keeps
+        // (evictions and rebuilds included), odd and even, against
         // stepping the uniforms one by one.
         let readout = ReadoutParams::noiseless();
         let lengths = [
             1500usize, 385, 1500, 2, 385, 0, 1, 7, 64, 65, 300, 301, 1500, 386, 2,
         ];
-        let mut skips = WindowJumps::default();
         let mut jumped = StdRng::seed_from_u64(0x5EED);
         let mut stepped = jumped.clone();
         for samples in lengths {
             let duration = samples as f64 / readout.sample_rate;
             assert_eq!(readout.samples_in(duration), samples);
-            draw_readout_noise(&mut jumped, &mut skips, &readout, duration, None);
+            draw_readout_noise(&mut jumped, &readout, duration, None);
             for _ in 0..2 * samples.div_ceil(2) {
                 let _: f64 = stepped.random();
             }
             assert_eq!(jumped, stepped, "after a {samples}-sample window");
         }
-        assert_eq!(skips.0.len(), WINDOW_JUMPS_CAP);
     }
 
     fn ssb_pulse(amp: f64, ssb: f64, start: f64, n: usize, dt: f64) -> Vec<C64> {

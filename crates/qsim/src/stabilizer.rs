@@ -38,7 +38,7 @@
 //!
 //! [Aaronson & Gottesman 2004]: https://arxiv.org/abs/quant-ph/0406196
 
-use crate::chip::{draw_readout_noise, ChipBackend, ChipQubit, QubitId, WindowJumps};
+use crate::chip::{draw_readout_noise, ChipBackend, ChipQubit, QubitId};
 use crate::clifford::CliffordGroup;
 use crate::complex::C64;
 use crate::mat2::Mat2;
@@ -341,8 +341,6 @@ pub struct StabilizerChip {
     /// Accumulated injected-Z frame, bit per qubit.
     frame_z: u64,
     rng: StdRng,
-    /// Jumps past skipped readout windows.
-    skips: WindowJumps,
     measurements: u64,
 }
 
@@ -365,7 +363,6 @@ impl StabilizerChip {
             frame_x: 0,
             frame_z: 0,
             rng: StdRng::seed_from_u64(seed),
-            skips: WindowJumps::default(),
             measurements: 0,
         }
     }
@@ -484,13 +481,7 @@ impl ChipBackend for StabilizerChip {
         self.measurements += 1;
         let u: f64 = self.rng.random();
         let outcome = self.tableau.measure_with(id, u);
-        draw_readout_noise(
-            &mut self.rng,
-            &mut self.skips,
-            &self.qubits[id].readout,
-            duration,
-            noise,
-        );
+        draw_readout_noise(&mut self.rng, &self.qubits[id].readout, duration, noise);
         outcome
     }
 

@@ -305,6 +305,11 @@ fn parse_template_sweep(doc: &Json) -> Result<JobSpec, FieldError> {
     })
 }
 
+/// Syndrome rounds a served `qec` job may ask for. The program grows
+/// linearly in rounds and compiles at submit; at this bound a d=25
+/// compile takes about 25 ms.
+const QEC_MAX_ROUNDS: u64 = 100;
+
 fn parse_experiment(doc: &Json, pool: &DevicePool) -> Result<Submission, FieldError> {
     let name = want_str(doc, "experiment")?;
     // Experiment configs are typed per experiment, so the journal gets
@@ -351,9 +356,25 @@ fn parse_experiment(doc: &Json, pool: &DevicePool) -> Result<Submission, FieldEr
                     "profile",
                 ));
             }
+            // The program compiles at submit, on this thread: every
+            // precondition of the compile is checked here first.
+            let rounds = want_u64(&cfg, "rounds", Some(defaults.rounds as u64))?;
+            if !(1..=QEC_MAX_ROUNDS).contains(&rounds) {
+                return Err(field_error(
+                    format!("'rounds' must be in 1..={QEC_MAX_ROUNDS}"),
+                    "rounds",
+                ));
+            }
+            let init_cycles = want_u64(&cfg, "init_cycles", Some(u64::from(defaults.init_cycles)))?;
+            if init_cycles > i32::MAX as u64 {
+                return Err(field_error(
+                    format!("'init_cycles' must be at most {}", i32::MAX),
+                    "init_cycles",
+                ));
+            }
             let config = QecConfig {
                 distance,
-                rounds: want_u64(&cfg, "rounds", Some(defaults.rounds as u64))? as usize,
+                rounds: rounds as usize,
                 shots: want_u64(&cfg, "shots", Some(defaults.shots))?,
                 error_rate: want_f64(&cfg, "error_rate", defaults.error_rate)?,
                 logical_one: want_bool(&cfg, "logical_one", defaults.logical_one)?,
@@ -362,8 +383,7 @@ fn parse_experiment(doc: &Json, pool: &DevicePool) -> Result<Submission, FieldEr
                 chip_seed: want_u64(&cfg, "chip_seed", Some(defaults.chip_seed))?,
                 injection_seed: want_u64(&cfg, "injection_seed", Some(defaults.injection_seed))?,
                 threads: 1,
-                init_cycles: want_u64(&cfg, "init_cycles", Some(u64::from(defaults.init_cycles)))?
-                    as u32,
+                init_cycles: init_cycles as u32,
             };
             // The compiled program depends only on the compile inputs, so
             // identical points share one cached compile.

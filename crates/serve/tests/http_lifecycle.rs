@@ -203,6 +203,49 @@ fn served_qec_experiment_matches_direct_harness() {
 }
 
 #[test]
+fn qec_configs_the_compile_rejects_get_422_and_serving_goes_on() {
+    // The QEC program compiles at submit, so a config its compile would
+    // refuse is a field error, never a dropped connection; the next
+    // valid job then compiles through the same cache and completes.
+    let server = serve(1, ServerConfig::new());
+    let mut client = MiniClient::connect(server.local_addr(), "qec-fields");
+    let qec = |field: &str, value: i64| {
+        Json::obj([
+            ("kind", Json::str("experiment")),
+            ("experiment", Json::str("qec")),
+            (
+                "config",
+                Json::obj([
+                    ("distance", Json::Int(3)),
+                    ("shots", Json::Int(2)),
+                    ("profile", Json::str("ideal")),
+                    (field, Json::Int(value)),
+                ]),
+            ),
+        ])
+    };
+    for (field, value) in [
+        ("rounds", 0),
+        ("rounds", 101),
+        ("init_cycles", 3_000_000_000),
+    ] {
+        let response = client.post_json("/jobs", &qec(field, value)).unwrap();
+        assert_eq!(
+            response.status,
+            422,
+            "{field} = {value}: {}",
+            response.text()
+        );
+        assert_eq!(problem_code(&response), "validation_error");
+        assert!(response.text().contains(field), "{}", response.text());
+    }
+    let id = submit_ok(&mut client, &qec("rounds", 1));
+    let status = client.wait_for(id, Duration::from_millis(5)).unwrap();
+    assert_eq!(status.get("phase").and_then(Json::as_str), Some("finished"));
+    server.shutdown();
+}
+
+#[test]
 fn unknown_ids_and_routes_are_404_problems() {
     let server = serve(1, ServerConfig::new());
     let mut client = MiniClient::connect(server.local_addr(), "missing");
