@@ -19,6 +19,7 @@ use quma_signal::dac::{memory_bytes, Dac};
 use quma_signal::envelope::Envelope;
 use quma_signal::ssb::SsbModulator;
 use quma_signal::waveform::IqWaveform;
+use std::sync::Arc;
 
 /// A lookup table of codeword-indexed pulses (the CTPG wave memory).
 #[derive(Debug, Clone)]
@@ -150,9 +151,16 @@ impl PulseLibraryBuilder {
 }
 
 /// The codeword-triggered pulse generation unit of one AWG.
+///
+/// Its wave memory holds every stored pulse DAC-ready: quantized once,
+/// when the library is set ([`Ctpg::new`], [`Ctpg::upload`]), so a
+/// trigger only shares the stored samples and stamps their start time.
 #[derive(Debug, Clone)]
 pub struct Ctpg {
     library: PulseLibrary,
+    /// Per codeword: the library's pulse as the DAC plays it, complex
+    /// baseband `I + iQ`.
+    wave_memory: Vec<Option<Arc<[C64]>>>,
     /// Fixed trigger-to-output delay in cycles (paper: 80 ns = 16 cycles).
     delay_cycles: u32,
     /// Cycle period in seconds (paper: 5 ns).
@@ -166,8 +174,8 @@ pub struct Ctpg {
 pub struct PlayedPulse {
     /// Absolute start time in seconds (trigger cycle + fixed delay).
     pub start: f64,
-    /// DAC-quantized complex baseband samples.
-    pub samples: Vec<C64>,
+    /// DAC-quantized complex baseband samples, shared with the wave memory.
+    pub samples: Arc<[C64]>,
     /// Sample period in seconds.
     pub sample_period: f64,
     /// The codeword that produced it.
@@ -190,11 +198,13 @@ impl Ctpg {
     /// Creates a CTPG over a pulse library with the paper's fixed delay and
     /// a 14-bit output DAC.
     pub fn new(library: PulseLibrary, delay_cycles: u32, cycle_time: f64) -> Self {
+        let dac = Dac::paper_awg();
         Self {
+            wave_memory: quantize(&library, &dac),
             library,
             delay_cycles,
             cycle_time,
-            dac: Dac::paper_awg(),
+            dac,
             triggers: 0,
         }
     }
@@ -205,8 +215,9 @@ impl Ctpg {
     }
 
     /// Replaces the library (re-upload, e.g. after recalibration or for
-    /// error-injection experiments).
+    /// error-injection experiments), quantizing it into the wave memory.
     pub fn upload(&mut self, library: PulseLibrary) {
+        self.wave_memory = quantize(&library, &self.dac);
         self.library = library;
     }
 
@@ -229,21 +240,37 @@ impl Ctpg {
     /// Handles a codeword trigger arriving at absolute cycle `cycle`:
     /// returns the pulse that will play `delay_cycles` later.
     pub fn trigger(&mut self, cw: Codeword, cycle: u64) -> Result<PlayedPulse, UnknownCodeword> {
-        let wave = self.library.get(cw).ok_or(UnknownCodeword(cw))?;
+        let samples = self
+            .wave_memory
+            .get(cw as usize)
+            .and_then(Option::as_ref)
+            .ok_or(UnknownCodeword(cw))?;
         self.triggers += 1;
-        let start = (cycle + u64::from(self.delay_cycles)) as f64 * self.cycle_time;
-        let samples = wave
-            .to_complex()
-            .iter()
-            .map(|z| C64::new(self.dac.convert(z.re), self.dac.convert(z.im)))
-            .collect();
         Ok(PlayedPulse {
-            start,
-            samples,
-            sample_period: 1.0 / wave.sample_rate,
+            start: (cycle + u64::from(self.delay_cycles)) as f64 * self.cycle_time,
+            samples: Arc::clone(samples),
+            sample_period: 1.0 / self.library.sample_rate(),
             codeword: cw,
         })
     }
+}
+
+/// The wave memory of `library`: each populated codeword's pulse passed
+/// through `dac`, quadrature by quadrature.
+fn quantize(library: &PulseLibrary, dac: &Dac) -> Vec<Option<Arc<[C64]>>> {
+    library
+        .entries
+        .iter()
+        .map(|entry| {
+            entry.as_ref().map(|wave| {
+                wave.i
+                    .iter()
+                    .zip(&wave.q)
+                    .map(|(&i, &q)| C64::new(dac.convert(i), dac.convert(q)))
+                    .collect()
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -256,6 +283,36 @@ mod tests {
 
     fn builder() -> PulseLibraryBuilder {
         PulseLibraryBuilder::paper_default(PI / 10e-9)
+    }
+
+    /// The per-trigger conversion the wave memory replaced, kept frozen
+    /// as the reference it must reproduce bit for bit.
+    fn reference_trigger(ctpg: &Ctpg, cw: Codeword, cycle: u64) -> Option<PlayedPulse> {
+        let wave = ctpg.library().get(cw)?;
+        let dac = Dac::paper_awg();
+        Some(PlayedPulse {
+            start: (cycle + u64::from(ctpg.delay_cycles())) as f64 * CYCLE,
+            samples: wave
+                .to_complex()
+                .iter()
+                .map(|z| C64::new(dac.convert(z.re), dac.convert(z.im)))
+                .collect(),
+            sample_period: 1.0 / wave.sample_rate,
+            codeword: cw,
+        })
+    }
+
+    /// Every codeword slot of `ctpg` (and one past the end) triggers
+    /// exactly as the reference conversion of its current library.
+    fn assert_plays_reference(ctpg: &mut Ctpg) {
+        let slots = ctpg.library().entries.len() as Codeword;
+        for cw in 0..=slots {
+            let cycle = 40_000 + u64::from(cw);
+            match reference_trigger(ctpg, cw, cycle) {
+                Some(want) => assert_eq!(ctpg.trigger(cw, cycle), Ok(want), "codeword {cw}"),
+                None => assert_eq!(ctpg.trigger(cw, cycle), Err(UnknownCodeword(cw))),
+            }
+        }
     }
 
     fn calibrated_transmon() -> Transmon {
@@ -376,5 +433,36 @@ mod tests {
         let mut q = calibrated_transmon();
         q.drive(&p.samples, p.start, p.sample_period);
         assert!((q.p1() - 0.5).abs() < 1e-3);
+    }
+
+    #[test]
+    fn wave_memory_plays_the_per_trigger_conversion() {
+        let mut ctpg = Ctpg::new(builder().build_table1(), 16, CYCLE);
+        assert_plays_reference(&mut ctpg);
+        // A sparse library: an empty slot between populated ones.
+        let mut lib = PulseLibrary::new(4, 1e9);
+        lib.set(0, builder().pulse_for(PrimitiveGate::ALL[1]));
+        lib.set(3, builder().pulse_for(PrimitiveGate::ALL[5]));
+        let mut sparse = Ctpg::new(lib, 16, CYCLE);
+        assert_plays_reference(&mut sparse);
+        assert_eq!(sparse.trigger(1, 0), Err(UnknownCodeword(1)));
+        assert_eq!(sparse.triggers(), 2, "failed triggers are not counted");
+    }
+
+    #[test]
+    fn upload_replaces_the_played_wave_memory() {
+        let mut ctpg = Ctpg::new(builder().build_table1(), 16, CYCLE);
+        let before = ctpg.trigger(1, 0).unwrap();
+        // AllXY's power-error path: re-upload a scaled copy.
+        let scaled = ctpg.library().with_amplitude_scale(0.9);
+        ctpg.upload(scaled);
+        assert_plays_reference(&mut ctpg);
+        assert_ne!(ctpg.trigger(1, 0).unwrap().samples, before.samples);
+        // A smaller library: the codewords it dropped become unknown.
+        let mut lib = PulseLibrary::new(2, 1e9);
+        lib.set(1, builder().pulse_for(PrimitiveGate::ALL[2]));
+        ctpg.upload(lib);
+        assert_plays_reference(&mut ctpg);
+        assert_eq!(ctpg.trigger(5, 0), Err(UnknownCodeword(5)));
     }
 }

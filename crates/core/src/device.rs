@@ -318,6 +318,7 @@ impl Device {
     /// Runs a program to completion.
     pub fn run(&mut self, program: &Program) -> Result<RunReport, DeviceError> {
         self.reset(program);
+        let insns = program.instructions();
         let mut cycle: u64 = 0;
         loop {
             if cycle > self.config.max_host_cycles {
@@ -326,21 +327,21 @@ impl Device {
             // --- Deterministic domain: advance T_D to `cycle`. ----------
             self.backend.advance_deterministic(cycle, &self.config)?;
             // --- Write-backs due now cross back to the scoreboard. ------
-            for (rd, value) in self.backend.apply_writebacks(cycle)? {
-                self.frontend.complete_pending(rd, value);
-            }
+            let frontend = &mut self.frontend;
+            self.backend
+                .apply_writebacks(cycle, |rd, value| frontend.complete_pending(rd, value))?;
             // --- Non-deterministic domain. ------------------------------
             // Physical microcode unit: decode one instruction per cycle.
             self.frontend
-                .decode_step()
+                .decode_step(insns)
                 .map_err(DeviceError::UnknownGate)?;
             // QMB: push as many expanded microinstructions as fit.
-            self.frontend.fill_queues(self.backend.tcu_mut());
+            self.frontend.fill_queues(insns, self.backend.tcu_mut());
             // Start the deterministic clock on the first buffered work,
             // on a carrier-phase-aligned cycle.
             let pending_start = self.backend.maybe_start_clock(cycle, &self.config);
             // Execution controller: one retire opportunity per cycle.
-            let exec_outcome = self.frontend.exec_step(cycle)?;
+            let exec_outcome = self.frontend.exec_step(insns, cycle)?;
             // --- Termination. -------------------------------------------
             if self.frontend.is_drained() && self.backend.is_drained() {
                 return Ok(self.report(cycle));

@@ -16,6 +16,7 @@
 use quma_isa::prelude::{Instruction, Program, Reg, RegisterFile, NUM_REGS};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::borrow::Cow;
 
 /// Execution statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -44,10 +45,31 @@ pub enum StepOutcome {
     StalledBackpressure,
     /// Retired a classical instruction.
     RetiredClassical,
-    /// Retired a quantum instruction, forwarding it downstream
-    /// (`QNopReg` is already converted to `Wait` here, reading the register
-    /// at issue time as the paper specifies).
-    ForwardedQuantum(Instruction),
+    /// Retired a quantum instruction, forwarding it downstream.
+    ForwardedQuantum(Forwarded),
+}
+
+/// A quantum instruction the controller retired and forwards downstream.
+/// The program stays where it was loaded, so most instructions travel as
+/// their address.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Forwarded {
+    /// The program's instruction at this address, unchanged.
+    At(u32),
+    /// A `QNopReg`, converted to `Wait` with the register read at issue
+    /// time, as the paper specifies.
+    Wait(u32),
+}
+
+impl Forwarded {
+    /// The forwarded instruction, read from the `program` it was
+    /// retired from.
+    pub fn resolve(self, program: &[Instruction]) -> Cow<'_, Instruction> {
+        match self {
+            Forwarded::At(pc) => Cow::Borrowed(&program[pc as usize]),
+            Forwarded::Wait(interval) => Cow::Owned(Instruction::Wait { interval }),
+        }
+    }
 }
 
 /// Errors raised during execution.
@@ -80,10 +102,14 @@ impl std::fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
-/// The execution controller.
+/// The execution controller. It keeps no copy of the program: [`load`]
+/// resets state for a program, and every [`step`] borrows that same
+/// program's instructions.
+///
+/// [`load`]: ExecutionController::load
+/// [`step`]: ExecutionController::step
 #[derive(Debug, Clone)]
 pub struct ExecutionController {
-    program: Vec<Instruction>,
     pc: u32,
     rf: RegisterFile,
     mem: Vec<i32>,
@@ -106,7 +132,6 @@ impl ExecutionController {
     /// given jitter model.
     pub fn new(mem_words: usize, max_jitter: u32, jitter_seed: u64) -> Self {
         Self {
-            program: Vec::new(),
             pc: 0,
             rf: RegisterFile::new(),
             mem: vec![0; mem_words],
@@ -128,9 +153,8 @@ impl ExecutionController {
         self.rng = StdRng::seed_from_u64(jitter_seed);
     }
 
-    /// Loads a program and resets architectural state.
+    /// Resets architectural state to run `program` from its start.
     pub fn load(&mut self, program: &Program) {
-        self.program = program.instructions().to_vec();
         self.pc = 0;
         self.rf = RegisterFile::new();
         for &addr in &self.dirty {
@@ -139,7 +163,7 @@ impl ExecutionController {
         }
         self.dirty.clear();
         self.pending = [0; NUM_REGS];
-        self.halted = self.program.is_empty();
+        self.halted = program.is_empty();
         self.next_ready = 0;
         self.stats = ExecStats::default();
     }
@@ -242,9 +266,16 @@ impl ExecutionController {
         writes.filter(|&r| self.is_pending(r))
     }
 
-    /// Offers the controller the cycle `cycle`. `downstream_free` is the
-    /// free space in the quantum-instruction FIFO (backpressure).
-    pub fn step(&mut self, cycle: u64, downstream_free: usize) -> Result<StepOutcome, ExecError> {
+    /// Offers the controller the cycle `cycle`. `program` holds the
+    /// instructions of the program last passed to
+    /// [`ExecutionController::load`]; `downstream_free` is the free space
+    /// in the quantum-instruction FIFO (backpressure).
+    pub fn step(
+        &mut self,
+        program: &[Instruction],
+        cycle: u64,
+        downstream_free: usize,
+    ) -> Result<StepOutcome, ExecError> {
         if self.halted {
             return Ok(StepOutcome::Halted);
         }
@@ -252,12 +283,8 @@ impl ExecutionController {
             return Ok(StepOutcome::Busy(self.next_ready));
         }
         let pc = self.pc as usize;
-        let insn = self
-            .program
-            .get(pc)
-            .ok_or(ExecError::PcOutOfBounds(self.pc))?
-            .clone();
-        if let Some(r) = self.hazard(&insn) {
+        let insn = program.get(pc).ok_or(ExecError::PcOutOfBounds(self.pc))?;
+        if let Some(r) = self.hazard(insn) {
             self.stats.pending_stalls += 1;
             return Ok(StepOutcome::StalledPending(r));
         }
@@ -274,7 +301,7 @@ impl ExecutionController {
         self.next_ready = cycle + latency;
         self.stats.retired += 1;
         let mut next_pc = self.pc + 1;
-        let outcome = match &insn {
+        let outcome = match insn {
             Instruction::Mov { rd, imm } => {
                 self.rf.write(*rd, *imm);
                 StepOutcome::RetiredClassical
@@ -371,16 +398,16 @@ impl ExecutionController {
                 if v < 0 {
                     return Err(ExecError::NegativeWait(v));
                 }
-                StepOutcome::ForwardedQuantum(Instruction::Wait { interval: v as u32 })
+                StepOutcome::ForwardedQuantum(Forwarded::Wait(v as u32))
             }
-            q => StepOutcome::ForwardedQuantum(q.clone()),
+            _ => StepOutcome::ForwardedQuantum(Forwarded::At(self.pc)),
         };
         if !self.halted {
-            if (next_pc as usize) > self.program.len() {
+            if (next_pc as usize) > program.len() {
                 return Err(ExecError::PcOutOfBounds(next_pc));
             }
             self.pc = next_pc;
-            if (next_pc as usize) == self.program.len() {
+            if (next_pc as usize) == program.len() {
                 // Falling off the end halts, like an implicit `halt`.
                 self.halted = true;
             }
@@ -407,7 +434,7 @@ mod tests {
         ec.load(&prog);
         let mut cycle = 0u64;
         while !ec.halted() {
-            match ec.step(cycle, usize::MAX).unwrap() {
+            match ec.step(prog.instructions(), cycle, usize::MAX).unwrap() {
                 StepOutcome::Busy(ready) => cycle = ready,
                 _ => cycle += 1,
             }
@@ -472,11 +499,11 @@ mod tests {
         let mut ec = controller();
         ec.load(&prog);
         assert!(matches!(
-            ec.step(0, 8).unwrap(),
+            ec.step(prog.instructions(), 0, 8).unwrap(),
             StepOutcome::RetiredClassical
         ));
-        match ec.step(1, 8).unwrap() {
-            StepOutcome::ForwardedQuantum(Instruction::Wait { interval }) => {
+        match ec.step(prog.instructions(), 1, 8).unwrap() {
+            StepOutcome::ForwardedQuantum(Forwarded::Wait(interval)) => {
                 assert_eq!(interval, 40000)
             }
             other => panic!("expected Wait, got {other:?}"),
@@ -490,8 +517,11 @@ mod tests {
             .unwrap();
         let mut ec = controller();
         ec.load(&prog);
-        ec.step(0, 8).unwrap();
-        assert_eq!(ec.step(1, 8), Err(ExecError::NegativeWait(-5)));
+        ec.step(prog.instructions(), 0, 8).unwrap();
+        assert_eq!(
+            ec.step(prog.instructions(), 1, 8),
+            Err(ExecError::NegativeWait(-5))
+        );
     }
 
     #[test]
@@ -503,15 +533,19 @@ mod tests {
         ec.load(&prog);
         // Classical retires even with zero downstream space.
         assert!(matches!(
-            ec.step(0, 0).unwrap(),
+            ec.step(prog.instructions(), 0, 0).unwrap(),
             StepOutcome::RetiredClassical
         ));
         // Quantum stalls.
-        assert_eq!(ec.step(1, 0).unwrap(), StepOutcome::StalledBackpressure);
-        assert!(matches!(
-            ec.step(2, 1).unwrap(),
-            StepOutcome::ForwardedQuantum(_)
-        ));
+        assert_eq!(
+            ec.step(prog.instructions(), 1, 0).unwrap(),
+            StepOutcome::StalledBackpressure
+        );
+        assert_eq!(
+            ec.step(prog.instructions(), 2, 1).unwrap(),
+            StepOutcome::ForwardedQuantum(Forwarded::At(1)),
+            "forwarded as its address"
+        );
         assert_eq!(ec.stats().backpressure_stalls, 1);
     }
 
@@ -522,13 +556,13 @@ mod tests {
         ec.load(&prog);
         ec.mark_pending(Reg::r(7));
         assert_eq!(
-            ec.step(0, 8).unwrap(),
+            ec.step(prog.instructions(), 0, 8).unwrap(),
             StepOutcome::StalledPending(Reg::r(7))
         );
         assert!(ec.has_pending());
         ec.complete_pending(Reg::r(7), 1);
         assert!(matches!(
-            ec.step(1, 8).unwrap(),
+            ec.step(prog.instructions(), 1, 8).unwrap(),
             StepOutcome::RetiredClassical
         ));
         assert_eq!(ec.registers().read(Reg::r(2)), 2);
@@ -541,11 +575,11 @@ mod tests {
         ec.load(&prog);
         ec.mark_pending(Reg::r(7));
         assert_eq!(
-            ec.step(0, 8).unwrap(),
+            ec.step(prog.instructions(), 0, 8).unwrap(),
             StepOutcome::StalledPending(Reg::r(7))
         );
         ec.complete_pending(Reg::r(7), 9);
-        ec.step(1, 8).unwrap();
+        ec.step(prog.instructions(), 1, 8).unwrap();
         assert_eq!(ec.registers().read(Reg::r(7)), 3);
     }
 
@@ -558,7 +592,7 @@ mod tests {
             ec.load(&prog);
             let mut cycle = 0u64;
             while !ec.halted() {
-                match ec.step(cycle, usize::MAX).unwrap() {
+                match ec.step(prog.instructions(), cycle, usize::MAX).unwrap() {
                     StepOutcome::Busy(ready) => cycle = ready,
                     _ => cycle += 1,
                 }
@@ -602,9 +636,9 @@ mod tests {
             .unwrap();
         let mut ec = ExecutionController::new(16, 0, 0);
         ec.load(&prog);
-        ec.step(0, 8).unwrap();
+        ec.step(prog.instructions(), 0, 8).unwrap();
         assert!(matches!(
-            ec.step(1, 8),
+            ec.step(prog.instructions(), 1, 8),
             Err(ExecError::MemOutOfBounds { addr: 100, .. })
         ));
     }
@@ -614,7 +648,7 @@ mod tests {
         let prog = Assembler::new().assemble("mov r1, 1").unwrap();
         let mut ec = controller();
         ec.load(&prog);
-        ec.step(0, 8).unwrap();
+        ec.step(prog.instructions(), 0, 8).unwrap();
         assert!(ec.halted());
     }
 
@@ -623,6 +657,6 @@ mod tests {
         let mut ec = controller();
         ec.load(&Program::default());
         assert!(ec.halted());
-        assert_eq!(ec.step(0, 8).unwrap(), StepOutcome::Halted);
+        assert_eq!(ec.step(&[], 0, 8).unwrap(), StepOutcome::Halted);
     }
 }

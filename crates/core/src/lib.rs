@@ -68,7 +68,7 @@ pub mod prelude {
         Session, SessionTracer, ShotSeeds, TemplatePoint, Workload,
     };
     pub use crate::event::{Event, FiredEvent};
-    pub use crate::exec::{ExecStats, ExecutionController, StepOutcome};
+    pub use crate::exec::{ExecStats, ExecutionController, Forwarded, StepOutcome};
     pub use crate::mdu::MeasurementDiscriminationUnit;
     pub use crate::microcode::{expand, MicroOp, MicroProgram, QControlStore, QubitSel};
     pub use crate::qmb::QuantumMicroinstructionBuffer;

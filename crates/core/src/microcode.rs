@@ -217,32 +217,51 @@ impl std::error::Error for UnknownGate {}
 /// `Apply` expands via the Q control store; `Measure` expands to
 /// `MPG` + `MD` with the store's default duration.
 pub fn expand(store: &QControlStore, insn: &Instruction) -> Result<Vec<Instruction>, UnknownGate> {
+    let mut out = Vec::new();
+    expand_with(store, insn, |micro| out.push(micro))?;
+    Ok(out)
+}
+
+/// Like [`expand`], handing each microinstruction to `emit` in order
+/// instead of collecting them.
+pub(crate) fn expand_with(
+    store: &QControlStore,
+    insn: &Instruction,
+    mut emit: impl FnMut(Instruction),
+) -> Result<(), UnknownGate> {
     match insn {
         Instruction::Apply { gate, qubits } => {
             let prog = store.program(*gate).ok_or(UnknownGate(*gate))?;
-            Ok(prog
-                .ops
-                .iter()
-                .map(|op| instantiate(op, *qubits, None))
-                .collect())
+            for op in &prog.ops {
+                emit(instantiate(op, *qubits, None));
+            }
         }
-        Instruction::Measure { qubits, rd } => Ok(vec![
-            Instruction::Mpg {
+        Instruction::Measure { qubits, rd } => {
+            emit(Instruction::Mpg {
                 qubits: *qubits,
                 duration: store.measure_duration,
-            },
-            Instruction::Md {
+            });
+            emit(Instruction::Md {
                 qubits: *qubits,
                 rd: Some(*rd),
-            },
-        ]),
-        // QuMIS passes through.
-        Instruction::Wait { .. }
-        | Instruction::Pulse { .. }
-        | Instruction::Mpg { .. }
-        | Instruction::Md { .. } => Ok(vec![insn.clone()]),
+            });
+        }
+        _ if passes_through(insn) => emit(insn.clone()),
         other => panic!("expand() given non-quantum instruction {other}"),
     }
+    Ok(())
+}
+
+/// True for the QuMIS microinstructions the unit passes through
+/// unchanged.
+pub(crate) fn passes_through(insn: &Instruction) -> bool {
+    matches!(
+        insn,
+        Instruction::Wait { .. }
+            | Instruction::Pulse { .. }
+            | Instruction::Mpg { .. }
+            | Instruction::Md { .. }
+    )
 }
 
 fn instantiate(op: &MicroOp, mask: QubitMask, rd: Option<Reg>) -> Instruction {

@@ -12,19 +12,19 @@ use crate::config::{ChipProfile, DeviceConfig};
 use crate::ctpg::{Ctpg, PulseLibraryBuilder};
 use crate::device::{DeviceError, MdRecord};
 use crate::digital_out::DigitalOutputUnit;
-use crate::event::Event;
+use crate::event::{Event, FiredEvent};
 use crate::mdu::{Discrimination, MeasurementDiscriminationUnit};
 use crate::timing::{TimingControlUnit, TimingStats};
 use crate::trace::{Trace, TraceKind, TraceLevel};
-use crate::uop_unit::{seq_z, MicroOpUnit};
+use crate::uop_unit::{seq_z, CodewordTrigger, MicroOpUnit};
 use quma_isa::prelude::Reg;
 use quma_qsim::chip::{ChipBackend, QuantumChip};
 use quma_qsim::resonator::ReadoutParams;
 use quma_qsim::stabilizer::StabilizerChip;
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
 /// A chip-facing action with its effect cycle, ordered before execution.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum ChipAction {
     Drive {
         qubit: usize,
@@ -51,6 +51,16 @@ impl ChipAction {
             ChipAction::Drive { at, .. }
             | ChipAction::Measure { at, .. }
             | ChipAction::Cz { at, .. } => *at,
+        }
+    }
+
+    /// The qubits the action touches: one, or a CZ's two.
+    fn qubits(&self) -> [Option<usize>; 2] {
+        match self {
+            ChipAction::Drive { qubit, .. } | ChipAction::Measure { qubit, .. } => {
+                [Some(*qubit), None]
+            }
+            ChipAction::Cz { a, b, .. } => [Some(*a), Some(*b)],
         }
     }
 }
@@ -105,7 +115,8 @@ pub struct Backend {
     windows: Vec<Vec<Window>>,
     collectors: Vec<DataCollector>,
     digital_out: DigitalOutputUnit,
-    writebacks: BTreeMap<u64, Vec<Writeback>>,
+    /// Scheduled write-backs by completion cycle, FIFO within a cycle.
+    writebacks: VecDeque<(u64, Writeback)>,
     md_results: Vec<MdRecord>,
     /// Host cycle at which T_D = 0, once the deterministic clock started.
     td_start: Option<u64>,
@@ -115,6 +126,12 @@ pub struct Backend {
     measurements: u64,
     /// Standard-normal readout draws the chip generated this run.
     readout_gaussians: u64,
+    /// Per-advance scratch, empty between calls and reused so a
+    /// steady-state shot allocates none of it: fired events, codeword
+    /// triggers, and chip actions.
+    fired: Vec<FiredEvent>,
+    triggers: Vec<CodewordTrigger>,
+    actions: Vec<ChipAction>,
 }
 
 impl Backend {
@@ -150,27 +167,41 @@ impl Backend {
                 .map(|_| DataCollector::new(config.collector_k))
                 .collect(),
             digital_out: DigitalOutputUnit::new(),
-            writebacks: BTreeMap::new(),
+            writebacks: VecDeque::new(),
             md_results: Vec::new(),
             td_start: None,
             last_chip_cycle: vec![0; config.num_qubits],
             trace: Trace::new(config.trace),
             measurements: 0,
             readout_gaussians: 0,
+            fired: Vec::new(),
+            triggers: Vec::new(),
+            actions: Vec::new(),
         };
         for q in 0..config.num_qubits {
             // Calibrate each qubit's pulse library against its own Rabi
-            // coefficient and SSB frequency.
-            let params = backend.chip.qubit(q).transmon.params().clone();
-            let mut builder = PulseLibraryBuilder::paper_default(params.rabi_coefficient);
-            builder.sample_rate = config.sample_rate;
-            builder.ssb = quma_signal::ssb::SsbModulator::new(params.ssb_frequency);
-            let library = builder.build_table1();
-            backend.ctpgs.push(Ctpg::new(
-                library,
-                config.ctpg_delay_cycles,
-                config.cycle_time,
-            ));
+            // coefficient and SSB frequency; qubits that share both share
+            // one calibrated wave memory.
+            let params = backend.chip.qubit(q).transmon.params();
+            let key = (params.rabi_coefficient, params.ssb_frequency);
+            let twin = (0..q).find(|&p| {
+                let earlier = backend.chip.qubit(p).transmon.params();
+                (earlier.rabi_coefficient, earlier.ssb_frequency) == key
+            });
+            let ctpg = match twin {
+                Some(p) => backend.ctpgs[p].clone(),
+                None => {
+                    let mut builder = PulseLibraryBuilder::paper_default(key.0);
+                    builder.sample_rate = config.sample_rate;
+                    builder.ssb = quma_signal::ssb::SsbModulator::new(key.1);
+                    Ctpg::new(
+                        builder.build_table1(),
+                        config.ctpg_delay_cycles,
+                        config.cycle_time,
+                    )
+                }
+            };
+            backend.ctpgs.push(ctpg);
             let mut uops = MicroOpUnit::with_table1(config.uop_delay_cycles);
             uops.define(quma_isa::uop::UopId(crate::microcode::UOP_Z), seq_z());
             backend.uop_units.push(uops);
@@ -181,7 +212,7 @@ impl Backend {
     /// Resets all run state for a fresh program, keeping the calibrated
     /// pulse libraries, µ-op definitions, and MDU calibration cache.
     pub fn reset(&mut self, config: &DeviceConfig) {
-        self.tcu = TimingControlUnit::new(config.queue_capacity);
+        self.tcu.reset();
         self.opened = 0;
         for q in 0..config.num_qubits {
             self.windows[q].clear();
@@ -285,7 +316,7 @@ impl Backend {
 
     /// Host cycle of the earliest scheduled write-back.
     pub fn next_writeback(&self) -> Option<u64> {
-        self.writebacks.first_key_value().map(|(&c, _)| c)
+        self.writebacks.front().map(|&(c, _)| c)
     }
 
     /// Advances the timing control unit so its `T_D` corresponds to host
@@ -300,10 +331,9 @@ impl Backend {
         };
         let target_td = cycle.saturating_sub(start);
         let delta = target_td.saturating_sub(self.tcu.td());
-        let fired = self.tcu.advance(delta);
-        let mut actions: Vec<ChipAction> = Vec::new();
+        self.tcu.advance_into(delta, &mut self.fired);
         let mut last_label = None;
-        for ev in fired {
+        for ev in self.fired.drain(..) {
             if last_label != Some(ev.label) {
                 self.trace
                     .record(ev.td, TraceKind::TimePoint { label: ev.label });
@@ -313,14 +343,14 @@ impl Backend {
                 Event::Pulse { qubits, uop } if uop.raw() == crate::microcode::UOP_CZ => {
                     // Two-qubit flux path: the CZ pulse goes to the shared
                     // flux-bias line, not through the per-qubit µ-op units.
-                    let qs: Vec<usize> = qubits.iter().collect();
-                    let [a, b] = qs.as_slice() else {
+                    let mut qs = qubits.iter();
+                    let (Some(a), Some(b), None) = (qs.next(), qs.next(), qs.next()) else {
                         return Err(DeviceError::CzArity { qubits, td: ev.td });
                     };
                     self.trace.record(ev.td, TraceKind::FluxPulse { qubits });
-                    actions.push(ChipAction::Cz {
-                        a: *a,
-                        b: *b,
+                    self.actions.push(ChipAction::Cz {
+                        a,
+                        b,
                         at: start + ev.td + u64::from(config.ctpg_delay_cycles),
                     });
                 }
@@ -358,7 +388,7 @@ impl Backend {
                             bound: false,
                             result: None,
                         });
-                        actions.push(ChipAction::Measure {
+                        self.actions.push(ChipAction::Measure {
                             qubit: q,
                             window: id,
                             duration_cycles: duration,
@@ -387,21 +417,26 @@ impl Backend {
                             + u64::from(config.msmt_trigger_delay_cycles)
                             + u64::from(window.duration_cycles)
                             + u64::from(config.mdu_latency_cycles);
-                        self.writebacks
-                            .entry(complete)
-                            .or_default()
-                            .push(Writeback {
-                                qubit: q,
-                                rd,
-                                window: window.id,
-                            });
+                        let behind = self.writebacks.partition_point(|&(c, _)| c <= complete);
+                        self.writebacks.insert(
+                            behind,
+                            (
+                                complete,
+                                Writeback {
+                                    qubit: q,
+                                    rd,
+                                    window: window.id,
+                                },
+                            ),
+                        );
                     }
                 }
             }
         }
         // µ-op units: codeword triggers due by now.
         for q in 0..self.uop_units.len() {
-            for trig in self.uop_units[q].drain_due(cycle) {
+            self.uop_units[q].drain_due_into(cycle, &mut self.triggers);
+            for trig in self.triggers.drain(..) {
                 self.trace.record(
                     trig.cycle - start,
                     TraceKind::Codeword {
@@ -413,7 +448,7 @@ impl Backend {
                     .trigger(trig.codeword, trig.cycle)
                     .map_err(DeviceError::UnknownCodeword)?;
                 let at = trig.cycle + u64::from(self.ctpgs[q].delay_cycles());
-                actions.push(ChipAction::Drive {
+                self.actions.push(ChipAction::Drive {
                     qubit: q,
                     pulse,
                     at,
@@ -422,81 +457,85 @@ impl Backend {
             }
         }
         // Apply chip actions in chronological order.
+        let mut actions = std::mem::take(&mut self.actions);
         actions.sort_by_key(ChipAction::at);
-        for action in actions {
-            let (touched, at): (Vec<usize>, u64) = match &action {
-                ChipAction::Drive { qubit, at, .. } => (vec![*qubit], *at),
-                ChipAction::Measure { qubit, at, .. } => (vec![*qubit], *at),
-                ChipAction::Cz { a, b, at } => (vec![*a, *b], *at),
-            };
-            for &qubit in &touched {
-                if at < self.last_chip_cycle[qubit] {
-                    return Err(DeviceError::ChronologyViolation {
-                        qubit,
-                        at,
-                        last: self.last_chip_cycle[qubit],
-                    });
-                }
-                self.last_chip_cycle[qubit] = at;
+        let applied = actions
+            .drain(..)
+            .try_for_each(|action| self.apply(action, config));
+        self.actions = actions;
+        applied
+    }
+
+    /// Plays one chip action, after checking it does not go back in time
+    /// on any qubit it touches.
+    fn apply(&mut self, action: ChipAction, config: &DeviceConfig) -> Result<(), DeviceError> {
+        let at = action.at();
+        for qubit in action.qubits().into_iter().flatten() {
+            if at < self.last_chip_cycle[qubit] {
+                return Err(DeviceError::ChronologyViolation {
+                    qubit,
+                    at,
+                    last: self.last_chip_cycle[qubit],
+                });
             }
-            match action {
-                ChipAction::Drive {
-                    qubit,
-                    pulse,
-                    at,
-                    trigger_td,
-                } => {
-                    self.trace.record(
-                        trigger_td + u64::from(config.ctpg_delay_cycles),
-                        TraceKind::PulseStart {
-                            qubit,
-                            codeword: pulse.codeword,
-                        },
-                    );
+            self.last_chip_cycle[qubit] = at;
+        }
+        match action {
+            ChipAction::Drive {
+                qubit,
+                pulse,
+                at: _,
+                trigger_td,
+            } => {
+                self.trace.record(
+                    trigger_td + u64::from(config.ctpg_delay_cycles),
+                    TraceKind::PulseStart {
+                        qubit,
+                        codeword: pulse.codeword,
+                    },
+                );
+                self.chip
+                    .drive(qubit, &pulse.samples, pulse.start, pulse.sample_period);
+            }
+            ChipAction::Measure {
+                qubit,
+                window,
+                duration_cycles,
+                at,
+            } => {
+                self.measurements += 1;
+                let t0 = at as f64 * config.cycle_time;
+                let dur = f64::from(duration_cycles) * config.cycle_time;
+                // Discriminate now and latch the result on its window;
+                // the MD reports it at the unchanged write-back cycle.
+                // A window superseded before any MD claimed it is gone,
+                // and a noiseless chain's result was decided at
+                // calibration: neither needs the chip's noise.
+                let open = self.windows[qubit]
+                    .iter()
+                    .position(|w| w.id == window)
+                    .map(|i| (i, self.calibration(qubit, duration_cycles, config)));
+                let noisy =
+                    open.is_some_and(|(_, cal)| self.calibrations[cal].mdu.noiseless(0).is_none());
+                let outcome =
                     self.chip
-                        .drive(qubit, &pulse.samples, pulse.start, pulse.sample_period);
-                    let _ = at;
+                        .measure_into(qubit, t0, dur, noisy.then_some(&mut self.noise));
+                if noisy {
+                    self.readout_gaussians += self.noise.len() as u64;
                 }
-                ChipAction::Measure {
-                    qubit,
-                    window,
-                    duration_cycles,
-                    at,
-                } => {
-                    self.measurements += 1;
-                    let t0 = at as f64 * config.cycle_time;
-                    let dur = f64::from(duration_cycles) * config.cycle_time;
-                    // Discriminate now and latch the result on its window;
-                    // the MD reports it at the unchanged write-back cycle.
-                    // A window superseded before any MD claimed it is gone,
-                    // and a noiseless chain's result was decided at
-                    // calibration: neither needs the chip's noise.
-                    let open = self.windows[qubit]
-                        .iter()
-                        .position(|w| w.id == window)
-                        .map(|i| (i, self.calibration(qubit, duration_cycles, config)));
-                    let noisy = open
-                        .is_some_and(|(_, cal)| self.calibrations[cal].mdu.noiseless(0).is_none());
-                    let outcome =
-                        self.chip
-                            .measure_into(qubit, t0, dur, noisy.then_some(&mut self.noise));
-                    if noisy {
-                        self.readout_gaussians += self.noise.len() as u64;
-                    }
-                    if let Some((i, cal)) = open {
-                        let mdu = &self.calibrations[cal].mdu;
-                        let d = mdu
-                            .noiseless(outcome)
-                            .unwrap_or_else(|| mdu.discriminate(outcome, &self.noise));
-                        self.windows[qubit][i].result = Some(d);
-                    }
+                if let Some((i, cal)) = open {
+                    let mdu = &self.calibrations[cal].mdu;
+                    let d = mdu
+                        .noiseless(outcome)
+                        .unwrap_or_else(|| mdu.discriminate(outcome, &self.noise));
+                    self.windows[qubit][i].result = Some(d);
                 }
-                ChipAction::Cz { a, b, at } => {
-                    let t0 = at as f64 * config.cycle_time;
-                    // The paper quotes ~40 ns (8 cycles) for CZ flux pulses.
-                    let dur = 8.0 * config.cycle_time;
-                    self.chip.apply_cz(a, b, t0, dur);
-                }
+            }
+            ChipAction::Cz { a, b, at } => {
+                let t0 = at as f64 * config.cycle_time;
+                // The paper quotes ~40 ns (8 cycles) for CZ flux pulses.
+                let dur = 8.0 * config.cycle_time;
+                self.chip.apply_cz(a, b, t0, dur);
             }
         }
         Ok(())
@@ -504,46 +543,46 @@ impl Backend {
 
     /// Completes every write-back due by `cycle`: takes the discrimination
     /// latched on the MD's window, records collector and trace entries,
-    /// and returns the `(register, value)` completions that must cross
-    /// back to the frontend's scoreboard.
-    pub fn apply_writebacks(&mut self, cycle: u64) -> Result<Vec<(Reg, i32)>, DeviceError> {
-        let due: Vec<u64> = self.writebacks.range(..=cycle).map(|(&c, _)| c).collect();
-        let mut completions = Vec::new();
-        for c in due {
-            let wbs = self.writebacks.remove(&c).expect("key exists");
-            for wb in wbs {
-                let td = c.saturating_sub(self.td_start.unwrap_or(0));
-                let open = &mut self.windows[wb.qubit];
-                let d = open
-                    .iter()
-                    .position(|w| w.id == wb.window)
-                    .and_then(|i| open.remove(i).result)
-                    .ok_or(DeviceError::MdWithoutMpg {
-                        qubit: wb.qubit,
-                        td,
-                    })?;
-                if let Some(rd) = wb.rd {
-                    completions.push((rd, i32::from(d.bit)));
-                }
-                self.collectors[wb.qubit].record(d.s);
-                self.trace.record(
+    /// and hands each `(register, value)` completion that must cross back
+    /// to the frontend's scoreboard to `complete`.
+    pub fn apply_writebacks(
+        &mut self,
+        cycle: u64,
+        mut complete: impl FnMut(Reg, i32),
+    ) -> Result<(), DeviceError> {
+        while self.writebacks.front().is_some_and(|&(c, _)| c <= cycle) {
+            let (c, wb) = self.writebacks.pop_front().expect("front checked");
+            let td = c.saturating_sub(self.td_start.unwrap_or(0));
+            let open = &mut self.windows[wb.qubit];
+            let d = open
+                .iter()
+                .position(|w| w.id == wb.window)
+                .and_then(|i| open.remove(i).result)
+                .ok_or(DeviceError::MdWithoutMpg {
+                    qubit: wb.qubit,
                     td,
-                    TraceKind::MdResult {
-                        qubit: wb.qubit,
-                        bit: d.bit,
-                        rd: wb.rd,
-                    },
-                );
-                self.md_results.push(MdRecord {
-                    td,
+                })?;
+            if let Some(rd) = wb.rd {
+                complete(rd, i32::from(d.bit));
+            }
+            self.collectors[wb.qubit].record(d.s);
+            self.trace.record(
+                td,
+                TraceKind::MdResult {
                     qubit: wb.qubit,
                     bit: d.bit,
-                    s: d.s,
                     rd: wb.rd,
-                });
-            }
+                },
+            );
+            self.md_results.push(MdRecord {
+                td,
+                qubit: wb.qubit,
+                bit: d.bit,
+                s: d.s,
+                rd: wb.rd,
+            });
         }
-        Ok(completions)
+        Ok(())
     }
 
     /// Index of the calibration for `qubit`'s current readout chain and a

@@ -6,25 +6,41 @@
 //! nothing here may influence *when* an event fires — only whether the
 //! timing queues are filled early enough (a violation shows up as a
 //! timing-queue underrun, never as a shifted event).
+//!
+//! The frontend copies nothing the program holds: every step borrows the
+//! running program, and an instruction forwarded unchanged travels
+//! through the decode buffers as its address.
 
-use crate::exec::{ExecError, ExecStats, ExecutionController, StepOutcome};
-use crate::microcode::{expand, QControlStore, UnknownGate};
+use crate::exec::{ExecError, ExecStats, ExecutionController, Forwarded, StepOutcome};
+use crate::microcode::{expand_with, passes_through, QControlStore, UnknownGate};
 use crate::qmb::QuantumMicroinstructionBuffer;
 use crate::timing::TimingControlUnit;
 use quma_isa::prelude::{Instruction, Program, Reg};
+use std::borrow::Cow;
 use std::collections::VecDeque;
 
 /// The physical microcode unit stops decoding while this many expanded
 /// microinstructions are still waiting to enter the QMB.
 const EXPAND_HIGH_WATER: usize = 16;
 
-/// The non-deterministic half of the pipeline.
+/// A microinstruction waiting to enter the QMB.
+#[derive(Debug, Clone)]
+enum Micro {
+    /// A QuMIS instruction forwarded by the execution controller,
+    /// passed through unchanged.
+    Forwarded(Forwarded),
+    /// One the Q control store expanded a QIS instruction into.
+    Expanded(Instruction),
+}
+
+/// The non-deterministic half of the pipeline. Every method that reads
+/// instructions takes the program last passed to [`Frontend::load`].
 #[derive(Debug, Clone)]
 pub struct Frontend {
     exec: ExecutionController,
     store: QControlStore,
-    decode_fifo: VecDeque<Instruction>,
-    expanded: VecDeque<Instruction>,
+    decode_fifo: VecDeque<Forwarded>,
+    expanded: VecDeque<Micro>,
     qmb: QuantumMicroinstructionBuffer,
     decode_fifo_capacity: usize,
 }
@@ -86,11 +102,18 @@ impl Frontend {
 
     /// Physical microcode unit: decodes at most one instruction from the
     /// decode FIFO per cycle, expanding it through the Q control store.
-    pub fn decode_step(&mut self) -> Result<(), UnknownGate> {
+    pub fn decode_step(&mut self, program: &[Instruction]) -> Result<(), UnknownGate> {
         if self.expanded.len() < EXPAND_HIGH_WATER {
-            if let Some(insn) = self.decode_fifo.pop_front() {
-                let micro = expand(&self.store, &insn)?;
-                self.expanded.extend(micro);
+            if let Some(forwarded) = self.decode_fifo.pop_front() {
+                let insn = forwarded.resolve(program);
+                if passes_through(&insn) {
+                    self.expanded.push_back(Micro::Forwarded(forwarded));
+                } else {
+                    let expanded = &mut self.expanded;
+                    expand_with(&self.store, &insn, |m| {
+                        expanded.push_back(Micro::Expanded(m));
+                    })?;
+                }
             }
         }
         Ok(())
@@ -98,11 +121,15 @@ impl Frontend {
 
     /// QMB: pushes as many expanded microinstructions into the timing
     /// queues as backpressure allows.
-    pub fn fill_queues(&mut self, tcu: &mut TimingControlUnit) {
+    pub fn fill_queues(&mut self, program: &[Instruction], tcu: &mut TimingControlUnit) {
         while let Some(front) = self.expanded.front() {
+            let insn = match front {
+                Micro::Forwarded(forwarded) => forwarded.resolve(program),
+                Micro::Expanded(insn) => Cow::Borrowed(insn),
+            };
             let pushed = self
                 .qmb
-                .push(front, tcu)
+                .push(&insn, tcu)
                 .expect("microcode expansion yields only QuMIS");
             if pushed {
                 self.expanded.pop_front();
@@ -115,20 +142,25 @@ impl Frontend {
     /// Offers the execution controller one retire opportunity, marking
     /// measurement destinations pending and forwarding retired quantum
     /// instructions into the decode FIFO.
-    pub fn exec_step(&mut self, cycle: u64) -> Result<StepOutcome, ExecError> {
+    pub fn exec_step(
+        &mut self,
+        program: &[Instruction],
+        cycle: u64,
+    ) -> Result<StepOutcome, ExecError> {
         let fifo_free = self
             .decode_fifo_capacity
             .saturating_sub(self.decode_fifo.len());
-        let outcome = self.exec.step(cycle, fifo_free)?;
-        if let StepOutcome::ForwardedQuantum(q) = &outcome {
+        let outcome = self.exec.step(program, cycle, fifo_free)?;
+        if let StepOutcome::ForwardedQuantum(forwarded) = outcome {
             // Scoreboard: a measurement destination register becomes
             // pending at issue time.
-            match q {
-                Instruction::Measure { rd, .. } => self.exec.mark_pending(*rd),
-                Instruction::Md { rd: Some(rd), .. } => self.exec.mark_pending(*rd),
+            match *forwarded.resolve(program) {
+                Instruction::Measure { rd, .. } | Instruction::Md { rd: Some(rd), .. } => {
+                    self.exec.mark_pending(rd)
+                }
                 _ => {}
             }
-            self.decode_fifo.push_back(q.clone());
+            self.decode_fifo.push_back(forwarded);
         }
         Ok(outcome)
     }

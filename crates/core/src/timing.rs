@@ -124,6 +124,20 @@ impl TimingControlUnit {
         }
     }
 
+    /// Returns the unit to its freshly built state — empty queues, stopped
+    /// clock, zero statistics — keeping the queues' storage.
+    pub(crate) fn reset(&mut self) {
+        self.timing.clear();
+        for queue in [&mut self.pulse, &mut self.mpg, &mut self.md] {
+            queue.entries.clear();
+            queue.high_water = 0;
+        }
+        self.td = None;
+        self.counter = 0;
+        self.fired_watermark = 0;
+        self.stats = TimingStats::default();
+    }
+
     /// Starts the deterministic-domain clock at `T_D = 0`.
     pub fn start(&mut self) {
         if self.td.is_none() {
@@ -216,10 +230,17 @@ impl TimingControlUnit {
     /// (and their matching events) that come due. Events are returned in
     /// fire order with their exact `T_D` timestamps.
     pub fn advance(&mut self, cycles: u64) -> Vec<FiredEvent> {
-        let Some(td) = self.td else {
-            return Vec::new();
-        };
         let mut fired = Vec::new();
+        self.advance_into(cycles, &mut fired);
+        fired
+    }
+
+    /// Like [`TimingControlUnit::advance`], appending the fired events to
+    /// `fired` so a caller can reuse one buffer.
+    pub(crate) fn advance_into(&mut self, cycles: u64, fired: &mut Vec<FiredEvent>) {
+        let Some(td) = self.td else {
+            return;
+        };
         let mut now = td;
         let mut remaining = cycles;
         loop {
@@ -263,7 +284,6 @@ impl TimingControlUnit {
             }
         }
         self.td = Some(now);
-        fired
     }
 
     /// Takes a snapshot of all queues for inspection (Tables 2–4 golden
@@ -427,6 +447,28 @@ mod tests {
         }
         assert_eq!(fired_a, fired_b);
         assert_eq!(a.snapshot(), b.snapshot());
+    }
+
+    #[test]
+    fn reset_in_place_behaves_as_a_fresh_unit() {
+        let run = |t: &mut TimingControlUnit| {
+            load_allxy_prefix(t);
+            t.start();
+            let fired = t.advance(40008);
+            (fired, t.snapshot(), t.stats(), t.fired_watermark())
+        };
+        let mut fresh = TimingControlUnit::new(64);
+        let want = run(&mut fresh);
+        // Leave the reused unit mid-run: queues part-drained, clock and
+        // counter running, watermark and high-water marks raised.
+        let mut reused = TimingControlUnit::new(64);
+        run(&mut reused);
+        reused.advance(3);
+        reused.reset();
+        assert!(!reused.started());
+        assert!(reused.is_drained());
+        assert_eq!(reused.stats(), TimingStats::default());
+        assert_eq!(run(&mut reused), want);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! `Z = X · Y`, realized as a Y pulse followed 4 cycles later by an X pulse.
 
 use quma_isa::prelude::UopId;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 /// A codeword index into a CTPG lookup table.
 pub type Codeword = u16;
@@ -51,8 +51,9 @@ pub struct MicroOpUnit {
     /// Fixed processing delay Δ in cycles from µ-op fire to the first
     /// codeword trigger.
     delay: u32,
-    /// Pending triggers, keyed by absolute cycle (FIFO within a cycle).
-    pending: BTreeMap<u64, VecDeque<Codeword>>,
+    /// Pending triggers in emission order: by absolute cycle, FIFO
+    /// within a cycle.
+    pending: VecDeque<CodewordTrigger>,
     emitted: u64,
 }
 
@@ -62,7 +63,7 @@ impl MicroOpUnit {
         Self {
             seqs: HashMap::new(),
             delay,
-            pending: BTreeMap::new(),
+            pending: VecDeque::new(),
             emitted: 0,
         }
     }
@@ -104,32 +105,39 @@ impl MicroOpUnit {
     pub fn fire(&mut self, uop: UopId, now: u64) -> Result<(), UndefinedUop> {
         let seq = self.seqs.get(&uop).ok_or(UndefinedUop(uop))?;
         let mut at = now + u64::from(self.delay);
-        for &(dt, cw) in &seq.0 {
+        for &(dt, codeword) in &seq.0 {
             at += u64::from(dt);
-            self.pending.entry(at).or_default().push_back(cw);
+            let behind = self.pending.partition_point(|t| t.cycle <= at);
+            self.pending.insert(
+                behind,
+                CodewordTrigger {
+                    cycle: at,
+                    codeword,
+                },
+            );
         }
         Ok(())
     }
 
     /// The cycle of the earliest pending trigger, if any.
     pub fn next_trigger_cycle(&self) -> Option<u64> {
-        self.pending.keys().next().copied()
+        self.pending.front().map(|t| t.cycle)
     }
 
     /// Drains all triggers due at or before `now`, in (cycle, FIFO) order.
     pub fn drain_due(&mut self, now: u64) -> Vec<CodewordTrigger> {
         let mut out = Vec::new();
-        while let Some(&cycle) = self.pending.keys().next() {
-            if cycle > now {
-                break;
-            }
-            let queue = self.pending.remove(&cycle).expect("key exists");
-            for codeword in queue {
-                out.push(CodewordTrigger { cycle, codeword });
-                self.emitted += 1;
-            }
-        }
+        self.drain_due_into(now, &mut out);
         out
+    }
+
+    /// Like [`MicroOpUnit::drain_due`], appending the triggers to `out`
+    /// so a caller can reuse one buffer.
+    pub(crate) fn drain_due_into(&mut self, now: u64, out: &mut Vec<CodewordTrigger>) {
+        while self.pending.front().is_some_and(|t| t.cycle <= now) {
+            out.push(self.pending.pop_front().expect("front checked"));
+            self.emitted += 1;
+        }
     }
 
     /// True when no triggers are pending.

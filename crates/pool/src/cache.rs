@@ -202,10 +202,10 @@ impl ProgramCache {
     /// The program `build` compiles, cached under `key`, which must name
     /// every compile input (the `Debug` form of a program builder does,
     /// e.g. `quma_experiments::qec::QecInjected::code`). `build` runs only
-    /// on a miss.
-    pub fn compile(&self, key: &str, build: impl FnOnce() -> Program) -> Arc<Program> {
+    /// on a miss. The bool is true on a hit.
+    pub fn compile(&self, key: &str, build: impl FnOnce() -> Program) -> (Arc<Program>, bool) {
         let built = self.through(&self.compiled, key, || Ok::<_, Infallible>(build()));
-        built.map_or_else(|never| match never {}, |(program, _)| program)
+        built.unwrap_or_else(|never| match never {})
     }
 
     /// Submissions served from cache so far.
@@ -288,7 +288,8 @@ mod tests {
                     .unwrap()
             })
         };
-        let (first, again) = (compile(), compile());
+        let ((first, first_hit), (again, again_hit)) = (compile(), compile());
+        assert_eq!((first_hit, again_hit), (false, true));
         assert_eq!(builds, 1, "a hit does not rebuild");
         assert!(Arc::ptr_eq(&first, &again));
         assert!(!Arc::ptr_eq(&first, &assembled));
@@ -308,14 +309,14 @@ mod tests {
         }));
         assert!(panicked.is_err());
         assert!(cache.is_empty());
-        let program = cache.compile("key", || {
+        let (program, _) = cache.compile("key", || {
             quma_isa::asm::Assembler::new()
                 .assemble("Wait 10\nhalt\n")
                 .unwrap()
         });
         assert!(Arc::ptr_eq(
             &program,
-            &cache.compile("key", || unreachable!())
+            &cache.compile("key", || unreachable!()).0
         ));
         assert!(cache.assemble(SRC).is_ok());
         assert_eq!((cache.misses(), cache.hits()), (2, 1));

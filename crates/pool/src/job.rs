@@ -438,7 +438,13 @@ impl Job {
         self
     }
 
-    pub(crate) fn mark_cache_hit(mut self, hit: bool) -> Self {
+    /// Records whether the job's program came out of the pool's
+    /// [`ProgramCache`](crate::cache::ProgramCache) — a hit flag of
+    /// `ProgramCache::compile` — for [`JobMetrics::cache_hit`]. Changes
+    /// no counter: the cache counted the lookup itself.
+    ///
+    /// [`JobMetrics::cache_hit`]: crate::metrics::JobMetrics::cache_hit
+    pub fn mark_cache_hit(mut self, hit: bool) -> Self {
         self.cache_hit = hit;
         self
     }

@@ -25,12 +25,13 @@ pub struct JobMetrics {
     /// Time spent running on the worker.
     pub run_time: Duration,
     /// True when the pool resolved this job's program from the
-    /// content-hash cache *at submission* — i.e. a
+    /// content-hash cache *at submission* — a
     /// `DevicePool::submit_assembly` call whose source was already
-    /// cached. Jobs built from pre-assembled `Arc`s (including ones a
-    /// separate `pool.assemble` call fetched from the cache) report
-    /// `false` here; pool-wide cache accounting lives in
-    /// [`PoolStats::cache_hits`].
+    /// cached, or a job marked with `Job::mark_cache_hit` from a
+    /// `ProgramCache::compile` hit (the served `qec` experiment). Jobs
+    /// built from other pre-assembled `Arc`s (including ones a separate
+    /// `pool.assemble` call fetched from the cache) report `false` here;
+    /// pool-wide cache accounting lives in [`PoolStats::cache_hits`].
     pub cache_hit: bool,
 }
 

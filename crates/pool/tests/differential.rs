@@ -356,7 +356,7 @@ fn served_qec_jobs_build_once_compile_once_and_match_direct_runs() {
                 };
                 let injected = QecInjected::default();
                 let code = injected.code(&cfg);
-                let program = pool
+                let (program, _) = pool
                     .cache()
                     .compile(&format!("{code:?}"), || code.compile());
                 let got = pool

@@ -389,12 +389,12 @@ fn parse_experiment(doc: &Json, pool: &DevicePool) -> Result<Submission, FieldEr
             // identical points share one cached compile.
             let injected = QecInjected::default();
             let code = injected.code(&config);
-            let program = pool
+            let (program, hit) = pool
                 .cache()
                 .compile(&format!("{code:?}"), || code.compile());
             let exp = QecCompiled { injected, program };
             Ok(Submission {
-                job: with_spec(Job::experiment(exp, config), "qec"),
+                job: with_spec(Job::experiment(exp, config).mark_cache_hit(hit), "qec"),
                 kind: "experiment",
                 experiment: Some("qec"),
             })

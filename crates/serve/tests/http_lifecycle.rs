@@ -203,6 +203,48 @@ fn served_qec_experiment_matches_direct_harness() {
 }
 
 #[test]
+fn a_served_qec_compile_hit_shows_in_the_job_metrics() {
+    // Two identical `qec` submissions share one compile: the second
+    // job's metrics report the cache hit, and the pool counts one miss
+    // and one hit, exactly as before jobs carried the flag.
+    let server = serve(1, ServerConfig::new());
+    let mut client = MiniClient::connect(server.local_addr(), "qec-cache");
+    let doc = Json::obj([
+        ("kind", Json::str("experiment")),
+        ("experiment", Json::str("qec")),
+        (
+            "config",
+            Json::obj([
+                ("distance", Json::Int(3)),
+                ("rounds", Json::Int(1)),
+                ("shots", Json::Int(2)),
+                ("profile", Json::str("ideal")),
+            ]),
+        ),
+    ]);
+    let hits: Vec<Option<bool>> = (0..2)
+        .map(|_| {
+            let id = submit_ok(&mut client, &doc);
+            let status = client.wait_for(id, Duration::from_millis(5)).unwrap();
+            assert_eq!(status.get("phase").and_then(Json::as_str), Some("finished"));
+            status
+                .get("metrics")
+                .and_then(|m| m.get("cache_hit"))
+                .and_then(Json::as_bool)
+        })
+        .collect();
+    assert_eq!(hits, vec![Some(false), Some(true)]);
+    let metrics = client.get("/metrics").unwrap().json().unwrap();
+    let pool = metrics.get("pool").expect("pool section");
+    let count = |name: &str| pool.get(name).and_then(Json::as_u64);
+    assert_eq!(
+        (count("cache_misses"), count("cache_hits")),
+        (Some(1), Some(1))
+    );
+    server.shutdown();
+}
+
+#[test]
 fn qec_configs_the_compile_rejects_get_422_and_serving_goes_on() {
     // The QEC program compiles at submit, so a config its compile would
     // refuse is a field error, never a dropped connection; the next
