@@ -757,6 +757,27 @@ mod tests {
     }
 
     #[test]
+    fn failed_run_leaves_no_stale_chip_actions() {
+        // The MPG on q0 and the bare MD on q1 fire at one label: the
+        // Measure action for q0 is queued before the MD aborts the run.
+        // The next run on the same device must not play it.
+        let cfg = DeviceConfig {
+            num_qubits: 2,
+            ..DeviceConfig::default()
+        };
+        let bad = "Wait 4\nMPG {q0}, 300\nMD {q1}, r7\nhalt\n";
+        let mut reused = Device::new(cfg.clone()).unwrap();
+        assert!(matches!(
+            reused.run_assembly(bad),
+            Err(DeviceError::MdWithoutMpg { qubit: 1, .. })
+        ));
+        let got = reused.run_assembly(SEGMENT).unwrap();
+        let mut fresh = Device::new(cfg).unwrap();
+        let want = fresh.run_assembly(SEGMENT).unwrap();
+        assert_eq!(format!("{got:?}"), format!("{want:?}"));
+    }
+
+    #[test]
     fn readout_retunes_recalibrate_without_growing_the_cache() {
         // Three qubits with one readout chain share one calibration; each
         // retune replaces it rather than adding one, and the retuned

@@ -224,6 +224,12 @@ impl Backend {
             // into the next run.
             self.uop_units[q].clear_pending();
         }
+        // Likewise an error mid-advance (e.g. an MD without an MPG at the
+        // label of an earlier MPG) leaves chip actions queued in the
+        // reused buffers; the next run must not play them.
+        self.fired.clear();
+        self.triggers.clear();
+        self.actions.clear();
         self.writebacks.clear();
         self.md_results.clear();
         self.td_start = None;
