@@ -59,9 +59,19 @@ pub struct RunStats {
     pub ctpg_triggers: Vec<u64>,
     /// Measurement pulses played.
     pub measurements: u64,
-    /// Standard-normal readout-noise draws the chip generated: one per
-    /// sample of each window on a noisy chain, none on a noiseless one.
+    /// Readout-noise samples integrated: one per sample of each window
+    /// on a noisy chain, none on a noiseless one.
     pub readout_gaussians: u64,
+    /// Chip RNG words stepped: one per projection, plus two per pair of
+    /// samples of each window on a noisy chain.
+    pub rng_words_stepped: u64,
+    /// Chip RNG words jumped past: two per pair of samples of each window
+    /// discriminated without its noise (a noiseless chain, a window no
+    /// MD claimed).
+    pub rng_words_jumped: u64,
+    /// Readout samples whose ADC code the exact Box–Muller decided,
+    /// because the fast normal's error bracket straddled a code edge.
+    pub readout_fallbacks: u64,
     /// Digital marker assertions issued by the digital output unit.
     pub marker_pulses: Vec<crate::digital_out::MarkerPulse>,
 }
@@ -406,6 +416,9 @@ impl Device {
                 ctpg_triggers: self.backend.ctpg_triggers(),
                 measurements: self.backend.measurements(),
                 readout_gaussians: self.backend.readout_gaussians(),
+                rng_words_stepped: self.backend.rng_words_stepped(),
+                rng_words_jumped: self.backend.rng_words_jumped(),
+                readout_fallbacks: self.backend.readout_fallbacks(),
                 marker_pulses: self.backend.marker_pulses(),
             },
             trace: self.backend.take_trace(self.config.trace),

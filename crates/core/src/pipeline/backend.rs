@@ -105,9 +105,9 @@ pub struct Backend {
     /// MDU calibrations keyed by `(readout chain, window)`: qubits with
     /// identical chains share one, and a retuned chain recalibrates.
     calibrations: Vec<Calibration>,
-    /// Readout-noise buffer the chip fills per measurement (reused, so a
-    /// steady-state measurement allocates nothing).
-    noise: Vec<f64>,
+    /// Readout-noise RNG words the chip fills per noisy measurement
+    /// (reused, so a steady-state measurement allocates nothing).
+    words: Vec<u64>,
     /// Windows opened this run (the last window id).
     opened: u64,
     /// Per qubit: the latest window plus any earlier ones an MD still
@@ -124,8 +124,15 @@ pub struct Backend {
     last_chip_cycle: Vec<u64>,
     trace: Trace,
     measurements: u64,
-    /// Standard-normal readout draws the chip generated this run.
+    /// Readout-noise samples of the windows discriminated from their noise
+    /// this run.
     readout_gaussians: u64,
+    /// Chip RNG words stepped (projections plus drawn noise words) and
+    /// jumped past (skipped noise words) this run.
+    rng_words_stepped: u64,
+    rng_words_jumped: u64,
+    /// Readout samples whose ADC code the exact Box–Muller decided.
+    readout_fallbacks: u64,
     /// Per-advance scratch, empty between calls and reused so a
     /// steady-state shot allocates none of it: fired events, codeword
     /// triggers, and chip actions.
@@ -160,7 +167,7 @@ impl Backend {
             ctpgs: Vec::new(),
             chip,
             calibrations: Vec::new(),
-            noise: Vec::new(),
+            words: Vec::new(),
             opened: 0,
             windows: vec![Vec::new(); config.num_qubits],
             collectors: (0..config.num_qubits)
@@ -174,6 +181,9 @@ impl Backend {
             trace: Trace::new(config.trace),
             measurements: 0,
             readout_gaussians: 0,
+            rng_words_stepped: 0,
+            rng_words_jumped: 0,
+            readout_fallbacks: 0,
             fired: Vec::new(),
             triggers: Vec::new(),
             actions: Vec::new(),
@@ -237,6 +247,9 @@ impl Backend {
         self.trace.clear();
         self.measurements = 0;
         self.readout_gaussians = 0;
+        self.rng_words_stepped = 0;
+        self.rng_words_jumped = 0;
+        self.readout_fallbacks = 0;
         self.chip.reset_all(0.0);
     }
 
@@ -516,7 +529,7 @@ impl Backend {
                 // the MD reports it at the unchanged write-back cycle.
                 // A window superseded before any MD claimed it is gone,
                 // and a noiseless chain's result was decided at
-                // calibration: neither needs the chip's noise.
+                // calibration: neither needs the chip's noise words.
                 let open = self.windows[qubit]
                     .iter()
                     .position(|w| w.id == window)
@@ -525,15 +538,22 @@ impl Backend {
                     open.is_some_and(|(_, cal)| self.calibrations[cal].mdu.noiseless(0).is_none());
                 let outcome =
                     self.chip
-                        .measure_into(qubit, t0, dur, noisy.then_some(&mut self.noise));
+                        .measure_words(qubit, t0, dur, noisy.then_some(&mut self.words));
+                let samples = self.chip.qubit(qubit).readout.samples_in(dur) as u64;
+                self.rng_words_stepped += 1;
                 if noisy {
-                    self.readout_gaussians += self.noise.len() as u64;
+                    self.readout_gaussians += samples;
+                    self.rng_words_stepped += self.words.len() as u64;
+                } else {
+                    self.rng_words_jumped += 2 * samples.div_ceil(2);
                 }
                 if let Some((i, cal)) = open {
                     let mdu = &self.calibrations[cal].mdu;
-                    let d = mdu
-                        .noiseless(outcome)
-                        .unwrap_or_else(|| mdu.discriminate(outcome, &self.noise));
+                    let d = mdu.noiseless(outcome).unwrap_or_else(|| {
+                        let (d, fallbacks) = mdu.discriminate_words(outcome, &self.words);
+                        self.readout_fallbacks += fallbacks;
+                        d
+                    });
                     self.windows[qubit][i].result = Some(d);
                 }
             }
@@ -642,10 +662,28 @@ impl Backend {
         self.measurements
     }
 
-    /// Standard-normal readout draws the chip generated this run (0 when
-    /// every window was noiseless or unread).
+    /// Readout-noise samples discriminated this run (0 when every window
+    /// was noiseless or unread).
     pub fn readout_gaussians(&self) -> u64 {
         self.readout_gaussians
+    }
+
+    /// Chip RNG words stepped this run: one per projection plus every
+    /// noise word drawn.
+    pub fn rng_words_stepped(&self) -> u64 {
+        self.rng_words_stepped
+    }
+
+    /// Chip RNG words jumped past this run: the noise words of every
+    /// window discriminated without its noise.
+    pub fn rng_words_jumped(&self) -> u64 {
+        self.rng_words_jumped
+    }
+
+    /// Readout samples this run whose ADC code the fast normal's error
+    /// bracket left open and the exact Box–Muller decided.
+    pub fn readout_fallbacks(&self) -> u64 {
+        self.readout_fallbacks
     }
 
     /// Marker pulses asserted by the digital output unit this run.
@@ -661,9 +699,12 @@ impl Backend {
             .collect()
     }
 
-    /// Takes the accumulated discrimination records.
+    /// Takes the accumulated discrimination records, leaving room for as
+    /// many next run (a steady-state shot records as many as the last
+    /// one, so its records never regrow).
     pub fn take_md_results(&mut self) -> Vec<MdRecord> {
-        std::mem::take(&mut self.md_results)
+        let capacity = self.md_results.len();
+        std::mem::replace(&mut self.md_results, Vec::with_capacity(capacity))
     }
 
     /// Takes the deterministic-domain trace, leaving an empty one at the

@@ -4,10 +4,11 @@
 //!
 //! The chip is the boundary of the QuMA simulation: the control box sends
 //! it DAC sample streams (gate pulses) and measurement-pulse triggers, and
-//! receives the projected outcome plus the window's readout noise in
-//! return — everything the heterodyne trace is made of (see
-//! [`ChipBackend`]). All randomness (projection noise, readout noise) is
-//! drawn from a seedable RNG so whole experiments are reproducible.
+//! receives the projected outcome plus the raw RNG words of the window's
+//! readout noise in return — everything the heterodyne trace is made of
+//! (see [`ChipBackend`]). All randomness (projection noise, readout
+//! noise) is drawn from a seedable RNG so whole experiments are
+//! reproducible.
 //!
 //! ## Joint registers along the coupling chain
 //!
@@ -25,13 +26,14 @@
 
 use crate::complex::C64;
 use crate::gates::{rotation, Axis};
+use crate::normal::box_muller;
 use crate::register::{NQubitState, Scratch};
 use crate::resonator::{synthesize_trace, ReadoutParams, ReadoutTrace};
 use crate::state::DensityMatrix;
 use crate::transmon::{rotation_from_pulse, Transmon, TransmonParams};
 use crate::twoqubit::Mat4;
 use rand::rngs::{Jump, StdRng};
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// Index of a qubit on the chip.
@@ -346,7 +348,7 @@ impl QuantumChip {
     /// Plays a measurement pulse on qubit `id` at lab time `start` for
     /// `duration` seconds: projects the qubit and returns the heterodyne
     /// trace the ADCs would digitize (the trace view of
-    /// [`ChipBackend::measure_into`]).
+    /// [`ChipBackend::measure_words`]).
     pub fn measure(&mut self, id: QubitId, start: f64, duration: f64) -> ReadoutTrace {
         ChipBackend::measure(self, id, start, duration)
     }
@@ -411,8 +413,9 @@ impl QuantumChip {
 }
 
 /// The chip-simulation boundary the control pipeline drives: DAC sample
-/// streams and measurement triggers in, projection plus readout noise
-/// out — the noise only on request, the RNG consumption unchanged.
+/// streams and measurement triggers in, projection plus the raw RNG words
+/// of the readout noise out — the words only on request, the RNG
+/// consumption unchanged.
 ///
 /// `quma-core`'s deterministic backend holds a `Box<dyn ChipBackend>` so
 /// the device profile can select the physics engine: the exact
@@ -420,21 +423,35 @@ impl QuantumChip {
 /// register) or the polynomial-time
 /// [`crate::stabilizer::StabilizerChip`] (Clifford circuits only).
 ///
-/// A measurement ([`Self::measure_into`]) returns the projected outcome
-/// and, when asked for, the window's standard-normal readout noise, not a
-/// trace: the heterodyne trace is fully determined by the outcome's
-/// noiseless template plus `noise_sigma` times that noise, so the control
-/// box's discrimination unit integrates its cached templates instead
-/// ([`Self::measure`] rebuilds the trace for callers that want it). A
-/// caller whose discrimination cannot depend on the noise (a noiseless
-/// chain, a window no MD can claim any more) does not ask, and the chip
-/// jumps its RNG past the draws instead of computing them. Every
-/// implementation must consume its seeded RNG in the same order either
-/// way — one uniform draw per projection, then the uniforms of one
-/// Gaussian per trace sample from a fresh Box–Muller source (`2·⌈n/2⌉`
-/// for `n` samples) — so seeded shots replay bit-identically across
-/// backends; new backends are pinned to that contract by a differential
-/// test suite against the exact chip (see `CONTRIBUTING.md`).
+/// The one required measurement method, [`Self::measure_words`], returns
+/// the projected outcome and, when asked for, the window's raw RNG words,
+/// not a trace or even its noise: the heterodyne trace is fully determined
+/// by the outcome's noiseless template plus `noise_sigma` times one
+/// standard normal per sample, and those normals are the exact Box–Muller
+/// pairs [`crate::normal::box_muller`] of consecutive words. The control
+/// box's discrimination unit settles each sample's ADC code from the fast
+/// pair [`crate::normal::box_muller_fast`], which is certified to lie
+/// within `E =` [`crate::normal::FAST_ERROR`] `= 2⁻⁴⁰` of the exact one
+/// (256 times the largest distance measured). The sample `t + σ·n` and
+/// the ADC are monotone non-decreasing in `n` under IEEE rounding, so
+/// when both ends of the bracket `[n′ − E, n′ + E]` give one code, that
+/// is the exact `n`'s code; the unit calls the exact pair only for a
+/// sample whose bracket straddles a code edge, and every integration
+/// result is the exact one bit for bit. A caller whose discrimination
+/// cannot depend on the noise (a noiseless chain, a window no MD can
+/// claim any more) does not ask, and the chip jumps its RNG past the
+/// words instead.
+///
+/// Every implementation must consume its seeded RNG in the same order
+/// either way — one uniform draw per projection, then the `2·⌈n/2⌉` words
+/// of one Box–Muller pair per two trace samples (the last pair's second
+/// half discarded when `n` is odd) — so seeded shots replay
+/// bit-identically across backends; new backends are pinned to that
+/// contract by a differential test suite against the exact chip (see
+/// `CONTRIBUTING.md`). The provided [`Self::measure_into`],
+/// [`Self::measure`] and [`Self::measure_with_truth`] apply the exact
+/// Box–Muller to those words for callers that want the noise or the
+/// trace.
 pub trait ChipBackend: Send + std::fmt::Debug {
     /// Number of qubits on the device.
     fn num_qubits(&self) -> usize;
@@ -469,19 +486,46 @@ pub trait ChipBackend: Send + std::fmt::Debug {
 
     /// Plays a measurement pulse on qubit `id` at lab time `start` for
     /// `duration` seconds: projects the qubit (one uniform draw) and
-    /// returns the projected outcome. With `Some(noise)`, replaces its
-    /// contents with the window's standard-normal readout noise (one draw
-    /// per trace sample, from a fresh Box–Muller source); with `None`,
-    /// skips: computes no Gaussian, and one RNG jump advances past
-    /// exactly the uniforms those draws would have taken, so the next
-    /// measurement sees the same stream either way.
+    /// returns the projected outcome. With `Some(words)`, replaces its
+    /// contents with the window's `2·⌈n/2⌉` raw RNG words for `n` trace
+    /// samples (this crate's chips draw them through one shared helper,
+    /// `draw_readout_words`); with `None`, one RNG jump advances past
+    /// exactly those words, so the next measurement sees the same stream
+    /// either way.
+    fn measure_words(
+        &mut self,
+        id: QubitId,
+        start: f64,
+        duration: f64,
+        words: Option<&mut Vec<u64>>,
+    ) -> u8;
+
+    /// [`Self::measure_words`] with the window's standard-normal readout
+    /// noise in place of its words: with `Some(noise)`, replaces its
+    /// contents with one exact Box–Muller draw per trace sample; with
+    /// `None`, computes no Gaussian and jumps the RNG past them.
     fn measure_into(
         &mut self,
         id: QubitId,
         start: f64,
         duration: f64,
         noise: Option<&mut Vec<f64>>,
-    ) -> u8;
+    ) -> u8 {
+        let Some(noise) = noise else {
+            return self.measure_words(id, start, duration, None);
+        };
+        let mut words = Vec::new();
+        let outcome = self.measure_words(id, start, duration, Some(&mut words));
+        let samples = self.qubit(id).readout.samples_in(duration);
+        noise.clear();
+        noise.extend(
+            words
+                .chunks_exact(2)
+                .flat_map(|pair| box_muller(pair[0], pair[1]))
+                .take(samples),
+        );
+        outcome
+    }
 
     /// Plays a measurement pulse and returns the heterodyne trace the ADCs
     /// would digitize.
@@ -490,7 +534,7 @@ pub trait ChipBackend: Send + std::fmt::Debug {
     }
 
     /// Like [`Self::measure`] but also reports the projected outcome: the
-    /// trace view of [`Self::measure_into`], bit for bit.
+    /// trace view of [`Self::measure_words`], bit for bit.
     fn measure_with_truth(&mut self, id: QubitId, start: f64, duration: f64) -> (ReadoutTrace, u8) {
         let mut noise = Vec::new();
         let outcome = self.measure_into(id, start, duration, Some(&mut noise));
@@ -549,15 +593,15 @@ impl ChipBackend for QuantumChip {
         QuantumChip::drive(self, id, samples, start, dt);
     }
 
-    fn measure_into(
+    fn measure_words(
         &mut self,
         id: QubitId,
         start: f64,
         duration: f64,
-        noise: Option<&mut Vec<f64>>,
+        words: Option<&mut Vec<u64>>,
     ) -> u8 {
         let outcome = self.project(id, start, duration);
-        draw_readout_noise(&mut self.rng, &self.qubits[id].readout, duration, noise);
+        draw_readout_words(&mut self.rng, &self.qubits[id].readout, duration, words);
         outcome
     }
 
@@ -569,27 +613,23 @@ impl ChipBackend for QuantumChip {
 /// The readout half of the [`ChipBackend`] RNG contract for one
 /// `duration`-second window on `readout`; every backend draws through it.
 ///
-/// With `Some(noise)`, replaces its contents with the window's
-/// standard-normal readout noise: one draw per trace sample from a fresh
-/// Box–Muller source (the unused half of the last pair is discarded when
-/// the sample count is odd). With `None`, skips: one [`Jump`] advances
-/// `rng` past the uniforms that source would consume — two per pair,
-/// `2·⌈n/2⌉` for `n` samples — so the stream after the window is the
-/// same either way.
-pub(crate) fn draw_readout_noise(
+/// With `Some(words)`, replaces its contents with the window's raw RNG
+/// words: two per Box–Muller pair, `2·⌈n/2⌉` for `n` trace samples. With
+/// `None`, skips: one [`Jump`] advances `rng` past those words, so the
+/// stream after the window is the same either way.
+pub(crate) fn draw_readout_words(
     rng: &mut StdRng,
     readout: &ReadoutParams,
     duration: f64,
-    noise: Option<&mut Vec<f64>>,
+    words: Option<&mut Vec<u64>>,
 ) {
-    let samples = readout.samples_in(duration);
-    match noise {
-        Some(noise) => {
-            let mut gauss = GaussianSource::new(rng);
-            noise.clear();
-            noise.extend((0..samples).map(|_| gauss.next()));
+    let count = 2 * readout.samples_in(duration).div_ceil(2);
+    match words {
+        Some(words) => {
+            words.clear();
+            words.extend((0..count).map(|_| rng.next_u64()));
         }
-        None => rng.jump(&window_jump(2 * samples.div_ceil(2) as u64)),
+        None => rng.jump(&window_jump(count as u64)),
     }
 }
 
@@ -617,7 +657,8 @@ fn window_jump(steps: u64) -> Arc<Jump> {
     jump
 }
 
-/// Box–Muller standard-normal source over a borrowed RNG. Shared with
+/// Box–Muller standard-normal source over a borrowed RNG: the exact
+/// [`box_muller`] pair of each two words, cosine first. Shared with
 /// [`crate::pair_reference`] so both chips consume the RNG identically.
 pub(crate) struct GaussianSource<'a> {
     rng: &'a mut StdRng,
@@ -633,13 +674,9 @@ impl<'a> GaussianSource<'a> {
         if let Some(v) = self.cached.take() {
             return v;
         }
-        // Box–Muller transform.
-        let u1: f64 = self.rng.random::<f64>().max(f64::MIN_POSITIVE);
-        let u2: f64 = self.rng.random();
-        let r = (-2.0 * u1.ln()).sqrt();
-        let theta = 2.0 * std::f64::consts::PI * u2;
-        self.cached = Some(r * theta.sin());
-        r * theta.cos()
+        let [first, second] = box_muller(self.rng.next_u64(), self.rng.next_u64());
+        self.cached = Some(second);
+        first
     }
 }
 
@@ -663,7 +700,7 @@ mod tests {
         for samples in lengths {
             let duration = samples as f64 / readout.sample_rate;
             assert_eq!(readout.samples_in(duration), samples);
-            draw_readout_noise(&mut jumped, &readout, duration, None);
+            draw_readout_words(&mut jumped, &readout, duration, None);
             for _ in 0..2 * samples.div_ceil(2) {
                 let _: f64 = stepped.random();
             }

@@ -34,6 +34,7 @@ pub mod complex;
 pub mod gates;
 pub mod mat2;
 pub mod noise;
+pub mod normal;
 pub mod pair_reference;
 pub mod register;
 pub mod resonator;

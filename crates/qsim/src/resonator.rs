@@ -16,9 +16,10 @@
 //! standard-normal draw per sample, and the template is exactly what
 //! [`synthesize_trace`] returns for an all-zero noise stream. The control
 //! pipeline relies on that split: the chip hands out only the projected
-//! outcome and the window's noise draws, and the measurement
-//! discrimination unit integrates the cached calibration template plus
-//! that noise without ever building the trace. [`synthesize_trace`] stays
+//! outcome and the raw RNG words its noise draws are made of (see
+//! [`crate::normal`]), and the measurement discrimination unit integrates
+//! the cached calibration template plus that noise without ever building
+//! the trace. [`synthesize_trace`] stays
 //! the reference view for tests and for `ChipBackend::measure`.
 
 use crate::complex::C64;

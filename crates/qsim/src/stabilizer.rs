@@ -20,15 +20,15 @@
 //!   single-qubit Clifford unitaries. A non-Clifford pulse is a hard
 //!   error: this backend cannot represent it, and panicking beats
 //!   silently simulating the wrong circuit.
-//! * **RNG-stream compatibility** — [`ChipBackend::measure_into`]
+//! * **RNG-stream compatibility** — [`ChipBackend::measure_words`]
 //!   consumes the seeded RNG in *exactly* the order the exact chip does
-//!   (one uniform draw for the projection, then one Gaussian per trace
-//!   sample — or, when the caller asks for no noise, one jump past the
-//!   same uniforms), so a shot replayed from a [`quma` `SeedPlan`] seed
-//!   produces bit-identical outcome streams and readout noise (hence
-//!   traces) on both backends for circuits where the outcome
-//!   probabilities agree (they do for Clifford circuits: every
-//!   probability is exactly 0, ½, or 1).
+//!   (one uniform draw for the projection, then the raw words of one
+//!   Box–Muller pair per two trace samples — or, when the caller asks for
+//!   no words, one jump past them), so a shot replayed from a
+//!   [`quma` `SeedPlan`] seed produces bit-identical outcome streams and
+//!   readout noise (hence traces) on both backends for circuits where
+//!   the outcome probabilities agree (they do for Clifford circuits:
+//!   every probability is exactly 0, ½, or 1).
 //!
 //! On top of the tableau the chip keeps an explicit **Pauli error frame**:
 //! [`StabilizerChip::inject_x`] / [`StabilizerChip::inject_z`] fold an
@@ -38,7 +38,7 @@
 //!
 //! [Aaronson & Gottesman 2004]: https://arxiv.org/abs/quant-ph/0406196
 
-use crate::chip::{draw_readout_noise, ChipBackend, ChipQubit, QubitId};
+use crate::chip::{draw_readout_words, ChipBackend, ChipQubit, QubitId};
 use crate::clifford::CliffordGroup;
 use crate::complex::C64;
 use crate::mat2::Mat2;
@@ -467,21 +467,21 @@ impl ChipBackend for StabilizerChip {
         }
     }
 
-    fn measure_into(
+    fn measure_words(
         &mut self,
         id: QubitId,
         _start: f64,
         duration: f64,
-        noise: Option<&mut Vec<f64>>,
+        words: Option<&mut Vec<u64>>,
     ) -> u8 {
         // Mirror QuantumChip's RNG consumption exactly: one uniform draw
-        // before the projection, then the window's readout noise (drawn or
-        // jumped past). This is what keeps seeded shots bit-identical
+        // before the projection, then the window's readout-noise words
+        // (drawn or jumped past). This is what keeps seeded shots bit-identical
         // across backends.
         self.measurements += 1;
         let u: f64 = self.rng.random();
         let outcome = self.tableau.measure_with(id, u);
-        draw_readout_noise(&mut self.rng, &self.qubits[id].readout, duration, noise);
+        draw_readout_words(&mut self.rng, &self.qubits[id].readout, duration, words);
         outcome
     }
 

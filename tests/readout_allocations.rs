@@ -132,10 +132,11 @@ fn steady_program_shot(
 
 /// Exact `(bytes, calls)` of one steady-state d = 7, 3-round feedback
 /// QEC shot on the stabilizer chip: 150 instructions, 36 codeword
-/// triggers and 25 windows allocate nothing in the shot loop; all 20
+/// triggers and 25 windows allocate nothing in the shot loop; all 17
 /// calls build the report (13 per-qubit collector averages and their
-/// outer `Vec`, the CTPG trigger counts, the marker pulses, and four
-/// doublings of the MD records). Debug and release builds agree.
+/// outer `Vec`, the CTPG trigger counts, the marker pulses, and the next
+/// shot's MD records, sized by this one's 25). Debug and release builds
+/// agree.
 #[test]
 fn a_steady_qec_shot_allocates_only_its_report() {
     let cfg = QecConfig {
@@ -151,7 +152,7 @@ fn a_steady_qec_shot_allocates_only_its_report() {
         assert_eq!(report.stats.ctpg_triggers.iter().sum::<u64>(), 36);
         assert_eq!(report.stats.measurements, 25);
     });
-    assert_eq!(tally, (2536, 20), "(bytes, allocations) per QEC shot");
+    assert_eq!(tally, (1416, 17), "(bytes, allocations) per QEC shot");
 }
 
 /// The quickstart segment on the noisy `Paper` chip: two `X90`s and one
@@ -172,5 +173,5 @@ fn a_steady_quickstart_shot_allocates_only_its_report() {
     let tally = steady_program_shot(cfg, &program, |report| {
         assert_eq!(report.stats.readout_gaussians, 1500);
     });
-    assert_eq!(tally, (192, 5), "(bytes, allocations) per quickstart shot");
+    assert_eq!(tally, (96, 5), "(bytes, allocations) per quickstart shot");
 }

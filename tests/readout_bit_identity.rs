@@ -182,3 +182,46 @@ fn noisy_chains_generate_one_gaussian_per_window_sample() {
     let (cfg, program) = two_windows(ChipProfile::Paper);
     assert_eq!(readout_draws(cfg, &program, 4), vec![(4, 2655); 4]);
 }
+
+/// `(RNG words stepped, RNG words jumped, exact Box–Muller fallbacks)` of
+/// each shot of a batch.
+fn rng_words(cfg: DeviceConfig, program: &Program, shots: u64) -> Vec<(u64, u64, u64)> {
+    let mut session = Session::new(cfg).expect("config valid");
+    let loaded = session.load(program);
+    let batch = session.run_shots(&loaded, shots).expect("batch runs");
+    batch
+        .shots
+        .iter()
+        .map(|r| {
+            let s = &r.stats;
+            (s.rng_words_stepped, s.rng_words_jumped, s.readout_fallbacks)
+        })
+        .collect()
+}
+
+#[test]
+fn a_noisy_quickstart_shot_steps_its_window_words() {
+    // One projection plus 750 Box–Muller pairs; no window is skipped and
+    // every sample's code is settled without the exact pair.
+    let cfg = DeviceConfig {
+        chip: ChipProfile::Paper,
+        ..DeviceConfig::default()
+    };
+    let program = Assembler::new().assemble(QUICKSTART).expect("assembles");
+    let counts = rng_words(cfg.clone(), &program, 4);
+    assert_eq!(counts, vec![(1 + 1500, 0, 0); 4]);
+    assert_eq!(rng_words(cfg, &program, 4), counts, "repeats exactly");
+    // Four projections plus 1500 + 3 · 386 words (odd windows draw their
+    // last pair whole).
+    let (cfg, program) = two_windows(ChipProfile::Paper);
+    assert_eq!(rng_words(cfg, &program, 4), vec![(4 + 2658, 0, 0); 4]);
+}
+
+#[test]
+fn a_noiseless_qec_shot_jumps_its_window_words() {
+    // 19 projections stepped; 19 windows of 1500 samples jumped past.
+    let (cfg, program) = qec(7, ChipProfile::Stabilizer);
+    let counts = rng_words(cfg.clone(), &program, 4);
+    assert_eq!(counts, vec![(19, 19 * 1500, 0); 4]);
+    assert_eq!(rng_words(cfg, &program, 4), counts, "repeats exactly");
+}
